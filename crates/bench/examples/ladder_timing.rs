@@ -1,20 +1,24 @@
 //! Quick warm-vs-cold ladder timing probe (developer tool, not a bench).
 //!
 //! ```text
-//! cargo run --release -p mm-bench --example ladder_timing -- [serial|parallel] [jobs]
+//! cargo run --release -p mm-bench --example ladder_timing -- [jobs]
 //! ```
 
 use std::time::Instant;
 
 use mm_bench::table4;
 use mm_boolfn::generators;
-use mm_synth::optimize::{self, parallel};
+use mm_synth::optimize::parallel;
 use mm_synth::{EncodeOptions, Synthesizer};
 
+/// One timed ladder, run once per engine.
+type Workload<'a> = Box<dyn Fn(&Synthesizer) + 'a>;
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mode = args.get(1).map(String::as_str).unwrap_or("serial");
-    let jobs: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1);
+    let jobs: usize = std::env::args()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(1);
     let opts = EncodeOptions::recommended();
     let gf22 = table4::benchmarks()
         .into_iter()
@@ -23,47 +27,23 @@ fn main() {
         .function;
     let adder1 = generators::ripple_adder(1);
 
-    let workloads: Vec<(&str, Box<dyn Fn(&Synthesizer)>)> = vec![
+    let workloads: Vec<(&str, Workload)> = vec![
         (
             "gf22 mm ladder (max_rops=4, max_steps=3)",
-            Box::new({
-                let f = gf22.clone();
-                let opts = opts.clone();
-                move |s: &Synthesizer| {
-                    if mode == "serial" {
-                        optimize::minimize_mixed_mode(s, &f, 4, 3, false, &opts).unwrap();
-                    } else {
-                        parallel::minimize_mixed_mode(s, &f, 4, 3, false, &opts, jobs).unwrap();
-                    }
-                }
+            Box::new(|s: &Synthesizer| {
+                parallel::minimize_mixed_mode(s, &gf22, 4, 3, false, &opts, jobs).unwrap();
             }),
         ),
         (
             "adder1 mm ladder (max_rops=4, max_steps=4)",
-            Box::new({
-                let f = adder1.clone();
-                let opts = opts.clone();
-                move |s: &Synthesizer| {
-                    if mode == "serial" {
-                        optimize::minimize_mixed_mode(s, &f, 4, 4, true, &opts).unwrap();
-                    } else {
-                        parallel::minimize_mixed_mode(s, &f, 4, 4, true, &opts, jobs).unwrap();
-                    }
-                }
+            Box::new(|s: &Synthesizer| {
+                parallel::minimize_mixed_mode(s, &adder1, 4, 4, true, &opts, jobs).unwrap();
             }),
         ),
         (
             "gf22 vsteps ladder (nR=4, nL=6, max_steps=3)",
-            Box::new({
-                let f = gf22.clone();
-                let opts = opts.clone();
-                move |s: &Synthesizer| {
-                    if mode == "serial" {
-                        optimize::minimize_vsteps(s, &f, 4, 6, 3, &opts).unwrap();
-                    } else {
-                        parallel::minimize_vsteps(s, &f, 4, 6, 3, &opts, jobs).unwrap();
-                    }
-                }
+            Box::new(|s: &Synthesizer| {
+                parallel::minimize_vsteps(s, &gf22, 4, 6, 3, &opts, jobs).unwrap();
             }),
         ),
     ];
@@ -75,7 +55,7 @@ fn main() {
         ] {
             let t = Instant::now();
             run(&synth);
-            println!("{name} [{mode} j{jobs}] {engine}: {:.2?}", t.elapsed());
+            println!("{name} [j{jobs}] {engine}: {:.2?}", t.elapsed());
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Emits the performance-trajectory report (`BENCH_<n>.json`).
 //!
-//! Runs a fixed probe set — serial synthesis ladders with telemetry
-//! attached, a seeded fuzz sweep, and a Monte-Carlo device sweep — and
+//! Runs a fixed probe set — synthesis ladders on the production driver
+//! (`optimize::parallel` at one worker) with telemetry attached, a seeded fuzz sweep, and a Monte-Carlo device sweep — and
 //! folds the results into a [`BenchReport`]: deterministic workload
 //! counters (solver conflicts, CNF sizes, synthesis-call and rung counts,
 //! degraded-scenario counts) plus advisory wall-clock timings. CI diffs
@@ -20,7 +20,7 @@ use mm_boolfn::{generators, MultiOutputFn};
 use mm_device::ElectricalParams;
 use mm_service::{Attempt, AttemptResult, Engine, JobRequest, ResultCache};
 use mm_synth::fuzz::{run_fuzz, FuzzConfig};
-use mm_synth::optimize::minimize_mixed_mode;
+use mm_synth::optimize::parallel::minimize_mixed_mode;
 use mm_synth::{EncodeOptions, Synthesizer};
 use mm_telemetry::{MemorySink, RunReport, Telemetry};
 
@@ -37,7 +37,7 @@ fn ladder_probe(report: &mut BenchReport, tag: &str, f: &MultiOutputFn, max_rops
     let sink = Arc::new(MemorySink::new());
     let synth = Synthesizer::new().with_telemetry(Telemetry::new(sink.clone()));
     let started = Instant::now();
-    let out = minimize_mixed_mode(&synth, f, max_rops, 3, false, &EncodeOptions::default())
+    let out = minimize_mixed_mode(&synth, f, max_rops, 3, false, &EncodeOptions::default(), 1)
         .expect("probe ladder must synthesize");
     let elapsed = started.elapsed();
     assert!(out.proven_optimal, "probe ladder must prove optimality");
@@ -244,10 +244,10 @@ fn service_cache_probe(report: &mut BenchReport) {
     );
 }
 
-/// Inprocessing probe: the 1-bit adder's warm mixed-mode ladder run
-/// serially with inprocessing on and off. The inprocessing activity
-/// counters and per-run conflict totals are deterministic (serial warm
-/// ladder, canonical diversity); the on/off wall-clock ratio is the
+/// Inprocessing probe: the 1-bit adder's warm mixed-mode ladder run at
+/// one worker with inprocessing on and off. The inprocessing activity
+/// counters and per-run conflict totals are deterministic (one warm
+/// worker, canonical diversity); the on/off wall-clock ratio is the
 /// advisory speedup headline. Both runs must agree on the verdict — that
 /// is the same invariant `tests/inprocess_differential.rs` locks down,
 /// re-checked here on the exact workload the trajectory tracks.
@@ -262,7 +262,7 @@ fn inprocess_probe(report: &mut BenchReport) {
             .with_budget(Budget::new().with_inprocess(inprocess))
             .with_telemetry(Telemetry::new(sink.clone()));
         let started = Instant::now();
-        let out = minimize_mixed_mode(&synth, &f, 4, 4, true, &EncodeOptions::default())
+        let out = minimize_mixed_mode(&synth, &f, 4, 4, true, &EncodeOptions::default(), 1)
             .expect("probe ladder must synthesize");
         let elapsed = started.elapsed();
         assert!(out.proven_optimal, "probe ladder must prove optimality");
@@ -280,21 +280,12 @@ fn inprocess_probe(report: &mut BenchReport) {
         "inprocessing changed a verdict"
     );
     assert_eq!(
-        off_run.counter("solver.inprocess.eliminated")
-            + off_run.counter("solver.inprocess.subsumed")
-            + off_run.counter("solver.inprocess.vivified"),
+        off_run.counter("solver.inprocess.subsumed") + off_run.counter("solver.inprocess.vivified"),
         0,
         "--no-inprocess run must not inprocess"
     );
 
     let none = Direction::None;
-    report.push(
-        "inprocess_adder1_eliminated",
-        on_run.counter("solver.inprocess.eliminated") as f64,
-        "count",
-        none,
-        true,
-    );
     report.push(
         "inprocess_adder1_subsumed",
         on_run.counter("solver.inprocess.subsumed") as f64,

@@ -225,9 +225,8 @@ impl Budget {
         self
     }
 
-    /// Enables or disables formula inprocessing (bounded variable
-    /// elimination, subsumption, vivification) for calls made under this
-    /// budget. On by default; the `--no-inprocess` CLI flag turns it off.
+    /// Enables or disables formula inprocessing (subsumption,
+    /// vivification) for calls made under this budget. On by default; the `--no-inprocess` CLI flag turns it off.
     ///
     /// Inprocessing never changes a verdict — it only rewrites the clause
     /// database between restarts — so this knob exists for differential

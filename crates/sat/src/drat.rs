@@ -28,8 +28,7 @@
 //!   to the clauses alive when it was learnt;
 //! * inprocessing (`solver/inprocess.rs`) stays inside the fragment too —
 //!   a vivified or self-subsumption-strengthened clause is exactly what
-//!   unit propagation proved, so it is RUP; a bounded-variable-elimination
-//!   resolvent is RUP against its two parents; and subsumption only emits
+//!   unit propagation proved, so it is RUP; and subsumption only emits
 //!   *deletions*. All rewrites log Add-before-Delete (with level-0 implied
 //!   units logged ahead of the first deletion that could depend on them),
 //!   so no step ever references a clause the checker has already dropped.

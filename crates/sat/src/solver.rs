@@ -243,21 +243,10 @@ pub struct Solver {
     /// Share-counter values already emitted to telemetry (imported, exported).
     tel_shared: (u64, u64),
     /// Inprocess-counter values already emitted to telemetry
-    /// (eliminated, subsumed+strengthened, vivified).
-    tel_inprocess: (u64, u64, u64),
+    /// (subsumed+strengthened, vivified).
+    tel_inprocess: (u64, u64),
     /// Failed-assumption set of the last UNSAT-under-assumptions call.
     failed: Vec<Lit>,
-    /// Variables that bounded variable elimination must never touch:
-    /// assumption/guard variables whose semantics outlive any single call.
-    frozen: Vec<bool>,
-    /// Variables removed by bounded variable elimination. Never decided,
-    /// never imported; their model values are reconstructed from
-    /// `elim_stack` in `extract_model`.
-    eliminated: Vec<bool>,
-    /// Elimination records, in elimination order: the pivot literal and
-    /// every clause (both polarities) that mentioned it at the time.
-    /// Replayed in reverse to extend a model over eliminated variables.
-    elim_stack: Vec<(Lit, Vec<Vec<Lit>>)>,
     /// Cumulative-conflict threshold for the next inprocessing pass.
     next_inprocess: u64,
     /// Current gap between passes; grows geometrically so inprocessing
@@ -305,11 +294,8 @@ impl Solver {
             imported: 0,
             exported: 0,
             tel_shared: (0, 0),
-            tel_inprocess: (0, 0, 0),
+            tel_inprocess: (0, 0),
             failed: Vec::new(),
-            frozen: vec![false; n],
-            eliminated: vec![false; n],
-            elim_stack: Vec::new(),
             next_inprocess: INPROCESS_FIRST_AT,
             inprocess_interval: INPROCESS_FIRST_AT,
             l0_units_logged: 0,
@@ -409,35 +395,6 @@ impl Solver {
         self
     }
 
-    /// Marks variables that inprocessing must never eliminate.
-    ///
-    /// Call this before the first solve for every variable whose meaning
-    /// outlives a single call: assumption/guard variables of an incremental
-    /// ladder, variables a caller will inject clauses over later. The
-    /// current call's assumptions are frozen automatically as a backstop,
-    /// but a *later* call's assumptions are not — freeze them up front.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a listed variable has already been eliminated (freezing
-    /// would come too late to be honoured).
-    pub fn freeze_vars<I: IntoIterator<Item = Var>>(&mut self, vars: I) {
-        for v in vars {
-            let i = v.index() as usize;
-            assert!(
-                !self.eliminated[i],
-                "freeze_vars: variable {i} was already eliminated; freeze before solving"
-            );
-            self.frozen[i] = true;
-        }
-    }
-
-    /// Whether inprocessing has eliminated `v` (its model value is
-    /// reconstructed rather than searched).
-    pub fn is_eliminated(&self, v: Var) -> bool {
-        self.eliminated[v.index() as usize]
-    }
-
     /// Cumulative statistics across every call made on this solver.
     pub fn stats(&self) -> SolverStats {
         self.stats
@@ -475,15 +432,6 @@ impl Solver {
             self.proof.is_none(),
             "post-solve add_clause would poison the DRAT log"
         );
-        // Hard assert (like the assumptions path): in release builds a
-        // clause over an eliminated variable would be silently unsound —
-        // the variable is never decided and extract_model reconstructs it
-        // from stale elimination records, so SAT could violate the clause.
-        assert!(
-            lits.iter()
-                .all(|l| !self.eliminated[l.var().index() as usize]),
-            "post-solve add_clause over an eliminated variable; freeze it first"
-        );
         self.backtrack_to(0);
         self.add_simplified_clause(lits, false);
     }
@@ -513,17 +461,6 @@ impl Solver {
         self.stats.cancelled = false;
         self.stats.deadline_expired = false;
         self.failed.clear();
-        // Backstop freeze: this call's assumptions must survive elimination.
-        // (Future calls may assume *other* variables — long-lived callers
-        // freeze their full guard set up front via `freeze_vars`.)
-        for &a in assumptions {
-            let v = a.var().index() as usize;
-            assert!(
-                !self.eliminated[v],
-                "assumption over eliminated variable {v}; freeze_vars before the first solve"
-            );
-            self.frozen[v] = true;
-        }
         self.backtrack_to(0);
         self.import_from_bus();
         self.maybe_inprocess(&budget);
@@ -622,12 +559,8 @@ impl Solver {
         // so runs that never inprocess produce the exact old event stream.
         // `subsumed` folds in self-subsumption strengthenings: both are
         // products of the same occurrence-list machinery.
-        let ie = s.eliminated_vars - self.tel_inprocess.0;
-        let is = s.subsumed_clauses + s.strengthened_clauses - self.tel_inprocess.1;
-        let iv = s.vivified_clauses - self.tel_inprocess.2;
-        if ie > 0 {
-            self.telemetry.counter("solver.inprocess.eliminated", ie);
-        }
+        let is = s.subsumed_clauses + s.strengthened_clauses - self.tel_inprocess.0;
+        let iv = s.vivified_clauses - self.tel_inprocess.1;
         if is > 0 {
             self.telemetry.counter("solver.inprocess.subsumed", is);
         }
@@ -635,7 +568,6 @@ impl Solver {
             self.telemetry.counter("solver.inprocess.vivified", iv);
         }
         self.tel_inprocess = (
-            s.eliminated_vars,
             s.subsumed_clauses + s.strengthened_clauses,
             s.vivified_clauses,
         );
@@ -775,15 +707,6 @@ impl Solver {
         for lits in &fresh {
             if !self.ok {
                 break;
-            }
-            // A clause over a variable this solver already eliminated
-            // cannot be attached (the variable no longer exists here);
-            // skipping it is sound — imports are redundant by definition.
-            if lits
-                .iter()
-                .any(|l| self.eliminated[l.var().index() as usize])
-            {
-                continue;
             }
             // Imported clauses are marked learnt so reduce_db may drop
             // them again if they turn out not to pull their weight.
@@ -1241,7 +1164,7 @@ impl Solver {
     fn decide(&mut self) -> Option<Lit> {
         while let Some(v) = self.heap.pop(&self.activity) {
             let i = v.index() as usize;
-            if self.assign[i] == UNASSIGNED && !self.eliminated[i] {
+            if self.assign[i] == UNASSIGNED {
                 let phase = self.saved_phase[i];
                 return Some(v.lit(phase));
             }
@@ -1250,27 +1173,7 @@ impl Solver {
     }
 
     fn extract_model(&self) -> Model {
-        let mut values: Vec<bool> = (0..self.n_vars).map(|v| self.assign[v] == 1).collect();
-        // Extend the assignment over eliminated variables by replaying the
-        // elimination records newest-first. For each pivot, keeping the
-        // default value or flipping it must satisfy every clause the
-        // elimination removed (the standard BVE reconstruction lemma: a
-        // model of the resolvents extends to the pivot).
-        for (pivot, removed) in self.elim_stack.iter().rev() {
-            let pv = pivot.var().index() as usize;
-            let sat = |values: &[bool], c: &[Lit]| {
-                c.iter()
-                    .any(|l| values[l.var().index() as usize] == l.is_positive())
-            };
-            if !removed.iter().all(|c| sat(&values, c)) {
-                values[pv] = !values[pv];
-                debug_assert!(
-                    removed.iter().all(|c| sat(&values, c)),
-                    "BVE reconstruction failed to satisfy a removed clause"
-                );
-            }
-        }
-        Model::new(values)
+        Model::new((0..self.n_vars).map(|v| self.assign[v] == 1).collect())
     }
 
     fn search(&mut self, assumptions: &[Lit], budget: Budget, start: Instant) -> SatResult {

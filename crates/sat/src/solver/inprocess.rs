@@ -6,13 +6,10 @@
 //!    its literals' negations are asserted one by one with real unit
 //!    propagation. A conflict, an implied literal, or a falsified literal
 //!    shrinks the clause in place.
-//! 2. **Subsumption / self-subsuming resolution and bounded variable
-//!    elimination** — the live database (long clauses *and* the binary
-//!    implication layer) is snapshotted into a working set with occurrence
-//!    lists; subsumed clauses are dropped, self-subsuming resolutions
-//!    strengthen clauses, and variables whose resolvent set does not grow
-//!    the database are eliminated (SatELite-style), recording the removed
-//!    clauses for model reconstruction.
+//! 2. **Subsumption / self-subsuming resolution** — the live database
+//!    (long clauses *and* the binary implication layer) is snapshotted into
+//!    a working set with occurrence lists; subsumed clauses are dropped and
+//!    self-subsuming resolutions strengthen clauses.
 //! 3. **Rebuild** — watches and binary lists are reconstructed from the
 //!    surviving set and the whole trail is re-propagated from scratch,
 //!    restoring every solver invariant.
@@ -29,8 +26,6 @@
 //!   propagation from the asserted negations — RUP by construction. The
 //!   candidate is detached during the probe precisely so the derivation
 //!   never passes through the clause being rewritten.
-//! - A BVE resolvent `(C ∖ {v}) ∪ (D ∖ {¬v})` is RUP while its parents
-//!   are present: negating it makes `C` propagate `v` and falsifies `D`.
 //! - Additions are always emitted before the deletions they justify, and
 //!   deletions are emitted for exact clauses previously in the database
 //!   (the checker matches sorted literal multisets).
@@ -39,18 +34,12 @@
 //! never invalidate a later RUP derivation recorded by the solver, because
 //! the solver's own database shrinks in lockstep with the proof's.
 //!
-//! # Safety invariants
-//!
-//! - Frozen variables (assumptions, incremental guard literals) are never
-//!   eliminated; `solve_under_assumptions` freezes its current assumption
-//!   set as a backstop and long-lived callers freeze their full guard set
-//!   up front.
-//! - Eliminated variables are never decided, never imported from the
-//!   clause bus, and their model values are reconstructed in
-//!   `extract_model` from the recorded elimination stack.
+//! Every rewrite is equivalence-preserving and no pass takes a variable
+//! out of the search, so assumptions, clause-bus imports and models need
+//! no special handling.
 
 use super::{Clause, Reason, Solver, Watch, UNASSIGNED};
-use crate::{Budget, Lit, Var};
+use crate::{Budget, Lit};
 
 /// Max candidate clauses probed by vivification per pass.
 const VIVIFY_MAX_CLAUSES: usize = 256;
@@ -58,19 +47,9 @@ const VIVIFY_MAX_CLAUSES: usize = 256;
 const VIVIFY_PROP_BUDGET: usize = 20_000;
 /// Max subsumption candidate comparisons per pass.
 const SUBSUME_CHECK_BUDGET: usize = 200_000;
-/// A variable with more occurrences than this per polarity is never an
-/// elimination candidate.
-const BVE_MAX_OCC: usize = 16;
-/// Max `pos × neg` occurrence product considered for elimination.
-const BVE_MAX_PRODUCT: usize = 64;
-/// Resolvents longer than this veto the elimination.
-const BVE_MAX_RESOLVENT_LEN: usize = 16;
-/// Max resolvent constructions per pass.
-const BVE_CHECK_BUDGET: usize = 100_000;
 
 /// A snapshotted clause in the phase-2 working set. Literals are sorted
-/// by code and deduplicated, which makes subset tests and resolution
-/// linear-time.
+/// by code and deduplicated, which makes subset tests linear-time.
 struct WorkClause {
     lits: Vec<Lit>,
     learnt: bool,
@@ -119,22 +98,6 @@ fn subsume_check(base: &[Lit], other: &[Lit]) -> Check {
     }
 }
 
-/// The resolvent of `c` and `d` on `pivot` (`pivot ∈ c`, `¬pivot ∈ d`),
-/// sorted and deduplicated; `None` if tautological.
-fn resolve(c: &[Lit], d: &[Lit], pivot: Lit) -> Option<Vec<Lit>> {
-    let mut r: Vec<Lit> = c.iter().copied().filter(|&l| l != pivot).collect();
-    for &l in d {
-        if l != !pivot && !r.contains(&l) {
-            r.push(l);
-        }
-    }
-    if r.iter().any(|&l| r.contains(&!l)) {
-        return None;
-    }
-    r.sort_by_key(|l| l.code());
-    Some(r)
-}
-
 impl Solver {
     /// Runs an inprocessing pass if the budget allows it and enough
     /// conflicts have accumulated since the last one. Called at call entry
@@ -178,7 +141,7 @@ impl Solver {
             // facts; log them while their reason clauses are still alive,
             // before phase 2 deletes any clause that derives them.
             self.log_level0_units();
-            self.subsume_and_eliminate();
+            self.subsume_and_rebuild();
         }
     }
 
@@ -370,8 +333,8 @@ impl Solver {
         }
     }
 
-    /// Phase 2 + 3: snapshot, subsume/strengthen/eliminate, rebuild.
-    fn subsume_and_eliminate(&mut self) {
+    /// Phase 2 + 3: snapshot, subsume/strengthen, rebuild.
+    fn subsume_and_rebuild(&mut self) {
         debug_assert_eq!(self.current_level(), 0);
         let mut work: Vec<WorkClause> = Vec::with_capacity(self.clauses.len());
 
@@ -553,10 +516,6 @@ impl Solver {
             }
         }
 
-        // ---- bounded variable elimination ----
-        if self.ok {
-            self.eliminate_vars(&mut work, &mut occ);
-        }
         if !self.ok {
             // UNSAT was derived mid-phase: the emitted proof is complete
             // and consistent, and no further search will read the
@@ -670,128 +629,11 @@ impl Solver {
             }
         }
     }
-
-    /// SatELite-style bounded variable elimination over the working set.
-    fn eliminate_vars(&mut self, work: &mut Vec<WorkClause>, occ: &mut Vec<Vec<usize>>) {
-        let mut bve_budget = BVE_CHECK_BUDGET;
-        // Cheapest-first: variables with the smallest occurrence footprint
-        // are the most likely to eliminate without growth.
-        let mut vars: Vec<u32> = (0..self.n_vars as u32).collect();
-        vars.sort_by_key(|&v| {
-            let p = Var::from_index(v).lit(true);
-            occ[p.code() as usize].len() + occ[(!p).code() as usize].len()
-        });
-        for v in vars {
-            if !self.ok || bve_budget == 0 {
-                break;
-            }
-            let i = v as usize;
-            if self.frozen[i] || self.eliminated[i] || self.assign[i] != UNASSIGNED {
-                continue;
-            }
-            let pl = Var::from_index(v).lit(true);
-            let live = |work: &Vec<WorkClause>, occ: &Vec<Vec<usize>>, l: Lit| -> Vec<usize> {
-                occ[l.code() as usize]
-                    .iter()
-                    .copied()
-                    .filter(|&j| !work[j].removed && contains(&work[j].lits, l))
-                    .collect()
-            };
-            let pos = live(work, occ, pl);
-            let neg = live(work, occ, !pl);
-            if pos.is_empty() && neg.is_empty() {
-                // Pure in neither polarity nor constrained: the variable
-                // occurs nowhere — nothing to record, decide() may still
-                // pick it freely.
-                continue;
-            }
-            if pos.len() > BVE_MAX_OCC
-                || neg.len() > BVE_MAX_OCC
-                || pos.len() * neg.len() > BVE_MAX_PRODUCT
-            {
-                continue;
-            }
-            bve_budget = bve_budget.saturating_sub(pos.len() * neg.len() + 1);
-
-            let mut resolvents: Vec<Vec<Lit>> = Vec::new();
-            let mut too_big = false;
-            'pairs: for &c in &pos {
-                for &d in &neg {
-                    if let Some(r) = resolve(&work[c].lits, &work[d].lits, pl) {
-                        if r.len() > BVE_MAX_RESOLVENT_LEN {
-                            too_big = true;
-                            break 'pairs;
-                        }
-                        resolvents.push(r);
-                    }
-                }
-            }
-            // No-growth rule: eliminating must not enlarge the database.
-            if too_big || resolvents.len() > pos.len() + neg.len() {
-                continue;
-            }
-
-            // Commit. Resolvent additions precede parent deletions so
-            // every resolvent is RUP while its parents are present.
-            for r in &resolvents {
-                let lits = r.clone();
-                if !lits.is_empty() {
-                    self.proof_add(&lits);
-                }
-            }
-            let removed_clauses: Vec<Vec<Lit>> = pos
-                .iter()
-                .chain(neg.iter())
-                .map(|&j| work[j].lits.clone())
-                .collect();
-            for &j in pos.iter().chain(neg.iter()) {
-                let old = std::mem::take(&mut work[j].lits);
-                work[j].removed = true;
-                self.proof_delete(&old);
-            }
-            self.elim_stack.push((pl, removed_clauses));
-            self.eliminated[i] = true;
-            self.stats.eliminated_vars += 1;
-
-            // Resolvents are irredundant: their parents are gone, so they
-            // alone carry the constraint (never give them to reduce_db).
-            let mut units: Vec<Lit> = Vec::new();
-            for r in resolvents {
-                match r.len() {
-                    0 => {
-                        self.ok = false;
-                        break;
-                    }
-                    1 => units.push(r[0]),
-                    _ => {
-                        let sig = var_sig(&r);
-                        let j = work.len();
-                        for &l in &r {
-                            occ[l.code() as usize].push(j);
-                        }
-                        work.push(WorkClause {
-                            lbd: r.len() as u32,
-                            lits: r,
-                            learnt: false,
-                            activity: 0.0,
-                            removed: false,
-                            sig,
-                        });
-                    }
-                }
-            }
-            for u in units {
-                if self.ok {
-                    self.work_assign_unit(u, work, occ);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::{drat, Budget, CnfFormula, DratProof, SatResult, Solver};
+    use crate::{drat, Budget, CnfFormula, DratProof, Solver};
 
     #[test]
     fn subsumption_drops_a_duplicate_clause() {
@@ -848,46 +690,6 @@ mod tests {
         solver.inprocess_now();
         assert!(solver.stats().vivified_clauses >= 1, "{}", solver.stats());
         assert!(solver.solve().is_sat());
-    }
-
-    #[test]
-    fn bve_eliminates_and_reconstructs_the_model() {
-        let mut cnf = CnfFormula::new();
-        let v = cnf.new_lits(3);
-        let (x, a, b) = (v[0], v[1], v[2]);
-        cnf.add_clause([x, a]);
-        cnf.add_clause([!x, b]);
-        cnf.add_clause([!a, !b, x]);
-        let originals = [vec![x, a], vec![!x, b], vec![!a, !b, x]];
-        let mut solver = Solver::new(cnf);
-        solver.inprocess_now();
-        assert!(solver.stats().eliminated_vars >= 1, "{}", solver.stats());
-        match solver.solve() {
-            SatResult::Sat(m) => {
-                for c in &originals {
-                    assert!(
-                        c.iter().any(|&l| m.value(l)),
-                        "reconstructed model violates {c:?}"
-                    );
-                }
-            }
-            other => panic!("expected SAT, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn frozen_vars_are_never_eliminated() {
-        let mut cnf = CnfFormula::new();
-        let v = cnf.new_lits(3);
-        let (x, a, b) = (v[0], v[1], v[2]);
-        cnf.add_clause([x, a]);
-        cnf.add_clause([!x, b]);
-        cnf.add_clause([!a, !b, x]);
-        let mut solver = Solver::new(cnf);
-        solver.freeze_vars([x.var(), a.var(), b.var()]);
-        solver.inprocess_now();
-        assert_eq!(solver.stats().eliminated_vars, 0);
-        assert!(!solver.is_eliminated(x.var()));
     }
 
     #[test]
@@ -966,7 +768,6 @@ mod tests {
         let (r1, s1) = mk();
         let (r2, s2) = mk();
         assert_eq!(r1, r2);
-        assert_eq!(s1.eliminated_vars, s2.eliminated_vars);
         assert_eq!(s1.subsumed_clauses, s2.subsumed_clauses);
         assert_eq!(s1.strengthened_clauses, s2.strengthened_clauses);
         assert_eq!(s1.vivified_clauses, s2.vivified_clauses);

@@ -52,9 +52,6 @@ pub struct SolverStats {
     /// Whether the emitted proof was run through
     /// [`drat::check`](crate::drat::check) and accepted.
     pub proof_checked: bool,
-    /// Number of variables removed by bounded variable elimination during
-    /// inprocessing.
-    pub eliminated_vars: u64,
     /// Number of clauses deleted by forward/backward subsumption during
     /// inprocessing (includes self-subsumption strengthenings that
     /// collapsed a clause onto the trail).
@@ -87,7 +84,6 @@ impl SolverStats {
         d.proof_steps -= earlier.proof_steps;
         d.proof_literals -= earlier.proof_literals;
         d.proof_check_time -= earlier.proof_check_time;
-        d.eliminated_vars -= earlier.eliminated_vars;
         d.subsumed_clauses -= earlier.subsumed_clauses;
         d.strengthened_clauses -= earlier.strengthened_clauses;
         d.vivified_clauses -= earlier.vivified_clauses;
@@ -103,7 +99,7 @@ impl fmt::Display for SolverStats {
             f,
             "{} conflicts, {} decisions, {} propagations, {} restarts, \
              {} cancel-polls, cancelled {}, deadline-expired {}, \
-             {} eliminated, {} subsumed, {} strengthened, {} vivified, \
+             {} subsumed, {} strengthened, {} vivified, \
              {} proof-steps, {} proof-literals, \
              checked {} in {:.3}s (+{:.3}s check)",
             self.conflicts,
@@ -113,7 +109,6 @@ impl fmt::Display for SolverStats {
             self.cancel_polls,
             self.cancelled,
             self.deadline_expired,
-            self.eliminated_vars,
             self.subsumed_clauses,
             self.strengthened_clauses,
             self.vivified_clauses,
@@ -138,7 +133,6 @@ mod tests {
             proof_steps: 11,
             proof_literals: 42,
             proof_checked: true,
-            eliminated_vars: 2,
             subsumed_clauses: 4,
             strengthened_clauses: 5,
             vivified_clauses: 6,
@@ -151,7 +145,6 @@ mod tests {
             "3 cancel-polls",
             "cancelled false",
             "deadline-expired false",
-            "2 eliminated",
             "4 subsumed",
             "5 strengthened",
             "6 vivified",
@@ -191,21 +184,18 @@ mod tests {
     #[test]
     fn delta_since_subtracts_inprocess_counters() {
         let earlier = SolverStats {
-            eliminated_vars: 1,
             subsumed_clauses: 2,
             strengthened_clauses: 3,
             vivified_clauses: 4,
             ..Default::default()
         };
         let later = SolverStats {
-            eliminated_vars: 5,
             subsumed_clauses: 7,
             strengthened_clauses: 9,
             vivified_clauses: 11,
             ..Default::default()
         };
         let d = later.delta_since(&earlier);
-        assert_eq!(d.eliminated_vars, 4);
         assert_eq!(d.subsumed_clauses, 5);
         assert_eq!(d.strengthened_clauses, 6);
         assert_eq!(d.vivified_clauses, 7);
@@ -232,7 +222,6 @@ mod tests {
             proof_literals: 10,
             proof_check_time: Duration::new(0, 250),
             proof_checked: true,
-            eliminated_vars: 11,
             subsumed_clauses: 12,
             strengthened_clauses: 13,
             vivified_clauses: 14,
@@ -245,7 +234,7 @@ mod tests {
             "\"solve_time\":{\"secs\":1,\"nanos\":500000000},\"cancel_polls\":8,",
             "\"cancelled\":true,\"deadline_expired\":false,\"proof_steps\":9,",
             "\"proof_literals\":10,\"proof_check_time\":{\"secs\":0,\"nanos\":250},",
-            "\"proof_checked\":true,\"eliminated_vars\":11,\"subsumed_clauses\":12,",
+            "\"proof_checked\":true,\"subsumed_clauses\":12,",
             "\"strengthened_clauses\":13,\"vivified_clauses\":14}"
         );
         assert_eq!(json, golden);

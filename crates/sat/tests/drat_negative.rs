@@ -219,22 +219,38 @@ fn proof_of_bus_attached_solver_checks_end_to_end() {
     assert_eq!(stats.proof_steps as usize, proof.n_steps());
 }
 
+/// php(5, 4) with pigeon 0's row `R` split on a fresh variable `x` into
+/// `(x ∨ R)` and `(¬x ∨ R)`. Self-subsuming resolution strengthens the
+/// second back to `R` — a clause every refutation needs — and
+/// subsumption then drops the first, so the pass's addition is core and
+/// is RUP only while the clause it replaces is still present.
+fn split_row_pigeonhole() -> CnfFormula {
+    let php = pigeonhole(5, 4);
+    let mut cnf = CnfFormula::new();
+    cnf.reserve_vars(php.n_vars());
+    let x = cnf.new_lit();
+    let (row, rest) = php.clauses().split_first().expect("php has rows");
+    for split in [x, !x] {
+        cnf.add_clause(row.iter().copied().chain([split]));
+    }
+    for clause in rest {
+        cnf.add_clause(clause.iter().copied());
+    }
+    cnf
+}
+
 /// A deterministic certified refutation whose proof contains genuine
-/// inprocessing steps: the pass runs with the log attached, so its unit
-/// additions, strengthened/vivified clauses, BVE resolvents and deletions
-/// all appear in the stream before the search-derived lemmas.
+/// inprocessing steps: the pass runs with the log attached, so its
+/// strengthened clauses and deletions appear in the stream before the
+/// search-derived lemmas.
 fn certified_inprocessed_php() -> (CnfFormula, DratProof) {
-    let cnf = pigeonhole(5, 4);
+    let cnf = split_row_pigeonhole();
     let mut solver = Solver::new(cnf.clone()).with_proof_writer(Box::<DratProof>::default());
     solver.inprocess_now();
     let stats = solver.stats();
     assert!(
-        stats.eliminated_vars
-            + stats.subsumed_clauses
-            + stats.strengthened_clauses
-            + stats.vivified_clauses
-            > 0,
-        "the pass must actually rewrite php(5,4): {stats}"
+        stats.subsumed_clauses + stats.strengthened_clauses + stats.vivified_clauses > 0,
+        "the pass must actually rewrite the split-row php(5,4): {stats}"
     );
     let (result, _, proof) = solver.solve_certified(Budget::new());
     assert_eq!(result, SatResult::Unsat);

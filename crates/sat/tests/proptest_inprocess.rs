@@ -1,14 +1,14 @@
 //! Property-based validation of the inprocessing layer: simplification
-//! preserves satisfiability, models restrict correctly onto eliminated
-//! variables, every certified verdict stays checkable, and diversified
-//! solvers agree on every verdict.
+//! preserves satisfiability, models satisfy every original clause, every
+//! certified verdict stays checkable, and diversified solvers agree on
+//! every verdict.
 
 use mm_sat::{drat, Budget, CnfFormula, Diversity, DratProof, Lit, SatResult, Solver, Var};
 use proptest::prelude::*;
 
 /// A random clause set over `n_vars` variables, as (var, polarity) pairs.
 /// Length-1 clauses are included deliberately: they drive the unit-cascade
-/// paths of subsumption and variable elimination.
+/// paths of subsumption and strengthening.
 fn clauses_strategy(n_vars: u32) -> impl Strategy<Value = Vec<Vec<(u32, bool)>>> {
     let clause = prop::collection::vec((0..n_vars, any::<bool>()), 1..=4);
     prop::collection::vec(clause, 1..60)
@@ -46,9 +46,8 @@ proptest! {
         raw in clauses_strategy(10)
     ) {
         // An explicit inprocessing pass before search must not change the
-        // verdict, and a SAT model — after reconstruction of eliminated
-        // variables — must satisfy every ORIGINAL clause, not just the
-        // rewritten database.
+        // verdict, and a SAT model must satisfy every ORIGINAL clause, not
+        // just the rewritten database.
         let (cnf, clauses) = build(10, &raw);
         let expected = brute_force_sat(10, &clauses);
         let mut solver = Solver::new(cnf);
@@ -118,14 +117,13 @@ proptest! {
     }
 
     #[test]
-    fn frozen_assumptions_survive_inprocessing(
+    fn assumptions_survive_inprocessing(
         raw in clauses_strategy(9),
         a0 in 0u32..9,
         p0 in any::<bool>(),
     ) {
-        // Freezing an assumption variable up front keeps it out of BVE, so
-        // a later solve under that assumption answers exactly like adding
-        // the unit to the formula.
+        // A solve under an assumption after an inprocessing pass answers
+        // exactly like adding the unit to the formula.
         let (cnf, clauses) = build(9, &raw);
         let assumption = Var::from_index(a0).lit(p0);
         let mut with_unit = clauses.clone();
@@ -133,9 +131,7 @@ proptest! {
         let expected = brute_force_sat(9, &with_unit);
 
         let mut solver = Solver::new(cnf);
-        solver.freeze_vars([assumption.var()]);
         solver.inprocess_now();
-        prop_assert!(!solver.is_eliminated(assumption.var()));
         let result = solver.solve_under_assumptions(&[assumption], Budget::new());
         match result {
             SatResult::Sat(_) => prop_assert!(expected),

@@ -78,6 +78,11 @@ pub struct RungSummary {
     pub time_us: u64,
     /// Whether the rung's answer carried a checked certificate.
     pub certified: bool,
+    /// Whether the lattice cancelled the rung: before launch (`skipped`)
+    /// or mid-solve (`unknown`), because a cheaper SAT or a costlier
+    /// UNSAT already settled it. An `unknown` rung without this flag
+    /// gave up on its own budget.
+    pub cancelled: bool,
 }
 
 /// Mutable tree node used during aggregation.
@@ -270,6 +275,9 @@ fn rung_from_attrs(attrs: &[(String, crate::event::AttrValue)]) -> RungSummary {
         clauses: get_u64("clauses"),
         time_us: get_u64("time_us"),
         certified: attr(attrs, "certified")
+            .and_then(|v| v.as_bool())
+            .unwrap_or(false),
+        cancelled: attr(attrs, "cancelled")
             .and_then(|v| v.as_bool())
             .unwrap_or(false),
     }

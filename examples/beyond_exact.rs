@@ -10,7 +10,7 @@
 use memristive_mm::boolfn::{generators, Gf2m};
 use memristive_mm::circuit::Schedule;
 use memristive_mm::sat::Budget;
-use memristive_mm::synth::optimize::minimize_mixed_mode;
+use memristive_mm::synth::optimize::parallel;
 use memristive_mm::synth::{heuristic, EncodeOptions, Synthesizer};
 use std::time::{Duration, Instant};
 
@@ -53,7 +53,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         let h = heuristic::map(&f)?;
         let hm = h.metrics();
-        let report = minimize_mixed_mode(&synth, &f, 3, 3, false, &EncodeOptions::recommended())?;
+        let report = parallel::minimize_mixed_mode(
+            &synth,
+            &f,
+            3,
+            3,
+            false,
+            &EncodeOptions::recommended(),
+            parallel::default_jobs(),
+        )?;
         match report.best {
             Some(best) => {
                 let om = best.metrics();

@@ -9,7 +9,7 @@
 
 use memristive_mm::boolfn::generators;
 use memristive_mm::sat::Budget;
-use memristive_mm::synth::optimize::{minimize_mixed_mode, minimize_r_only};
+use memristive_mm::synth::optimize::parallel;
 use memristive_mm::synth::{heuristic, EncodeOptions, SynthSpec, Synthesizer};
 use std::time::Duration;
 
@@ -20,9 +20,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let synth =
         Synthesizer::new().with_budget(Budget::new().with_max_time(Duration::from_secs(60)));
     let options = EncodeOptions::recommended();
+    let jobs = parallel::default_jobs();
 
     // 1. Optimal mixed-mode: smallest N_R, then smallest N_VS.
-    let mm = minimize_mixed_mode(&synth, &f, 4, 4, false, &options)?;
+    let mm = parallel::minimize_mixed_mode(&synth, &f, 4, 4, false, &options, jobs)?;
     let mm_best = mm.best.as_ref().expect("XOR3 is MM-realizable");
     let m = mm_best.metrics();
     println!(
@@ -40,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. Conventional stateful-only baseline.
-    let r_only = minimize_r_only(&synth, &f, 8, &options)?;
+    let r_only = parallel::minimize_r_only(&synth, &f, 8, &options, jobs)?;
     let r_best = r_only.best.as_ref().expect("NOR logic is universal");
     let rm = r_best.metrics();
     println!(

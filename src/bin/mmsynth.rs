@@ -626,9 +626,9 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
                  \x20      long-lived solver per worker, shared learned clauses);\n\
                  \x20      --no-incremental restores cold per-rung solves, and\n\
                  \x20      --certify implies them (proofs refute each rung's formula)\n\
-                 \x20      the solver inprocesses (variable elimination, subsumption,\n\
-                 \x20      vivification) at restart boundaries; --no-inprocess turns\n\
-                 \x20      that off — verdicts and proofs are identical either way\n\
+                 \x20      the solver inprocesses (subsumption, vivification) at\n\
+                 \x20      restart boundaries; --no-inprocess turns that off —\n\
+                 \x20      verdicts and proofs are identical either way\n\
                  \x20      telemetry (all subcommands): --trace-out FILE.jsonl streams\n\
                  \x20      raw events, --report-json FILE writes the aggregated phase\n\
                  \x20      timing report, --progress renders a stderr ticker;\n\

@@ -9,7 +9,7 @@ use memristive_mm::boolfn::generators;
 use memristive_mm::sat::{Budget, Deadline};
 use memristive_mm::synth::optimize::parallel;
 use memristive_mm::synth::optimize::{DegradeReason, OptimizeStatus};
-use memristive_mm::synth::{EncodeOptions, Synthesizer};
+use memristive_mm::synth::{heuristic, EncodeOptions, Synthesizer};
 
 fn expired_synth() -> Synthesizer {
     Synthesizer::new().with_budget(Budget::new().with_deadline(Deadline::after(Duration::ZERO)))
@@ -19,6 +19,7 @@ fn expired_synth() -> Synthesizer {
 fn zero_deadline_minimize_mixed_mode_degrades_at_every_width() {
     let f = generators::xor_gate(2);
     let options = EncodeOptions::recommended();
+    let seed = heuristic::map(&f).expect("the mapper covers XOR2");
     for jobs in [1, 2, 8] {
         let report =
             parallel::minimize_mixed_mode(&expired_synth(), &f, 3, 3, false, &options, jobs)
@@ -44,6 +45,11 @@ fn zero_deadline_minimize_mixed_mode_degrades_at_every_width() {
             .as_ref()
             .expect("degraded minimize still returns a best-known circuit");
         assert!(best.implements(&f), "jobs={jobs}: seed upper bound wrong");
+        assert_eq!(
+            best.metrics(),
+            seed.metrics(),
+            "jobs={jobs}: best-known circuit is not the heuristic seed"
+        );
     }
 }
 
@@ -57,25 +63,6 @@ fn zero_deadline_minimize_r_only_never_errors() {
         assert!(report.status.is_degraded(), "jobs={jobs}");
         assert!(!report.proven_optimal, "jobs={jobs}");
     }
-}
-
-#[test]
-fn sequential_minimize_degrades_too() {
-    use memristive_mm::synth::optimize;
-    let f = generators::xor_gate(2);
-    let report = optimize::minimize_mixed_mode(
-        &expired_synth(),
-        &f,
-        3,
-        3,
-        false,
-        &EncodeOptions::recommended(),
-    )
-    .expect("deadline expiry is degradation, not an error");
-    assert!(report.status.is_degraded());
-    assert!(!report.proven_optimal);
-    let best = report.best.expect("seed upper bound");
-    assert!(best.implements(&f));
 }
 
 #[test]

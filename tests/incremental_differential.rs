@@ -153,33 +153,6 @@ fn r_only_ladders_match_cold_engine() {
     }
 }
 
-/// Serial (non-portfolio) ladders go through the same engine selection;
-/// they must match their own cold counterparts too.
-#[test]
-fn serial_ladders_match_cold_engine() {
-    use memristive_mm::synth::optimize as serial;
-    let opts = EncodeOptions::recommended();
-    let f = generators::xor_gate(2);
-    let pairs = [
-        (
-            serial::minimize_r_only(&cold(), &f, 5, &opts).expect("cold runs"),
-            serial::minimize_r_only(&warm(), &f, 5, &opts).expect("warm runs"),
-            "serial r-only",
-        ),
-        (
-            serial::minimize_mixed_mode(&cold(), &f, 3, 3, false, &opts).expect("cold runs"),
-            serial::minimize_mixed_mode(&warm(), &f, 3, 3, false, &opts).expect("warm runs"),
-            "serial mixed-mode",
-        ),
-    ];
-    for (baseline, report, label) in &pairs {
-        assert_same_verdict(label, baseline, report);
-        if let Some(c) = &report.best {
-            device_verify(label, c, &f);
-        }
-    }
-}
-
 /// The fault-repair path synthesizes under cell avoidance, which the
 /// shared base cannot express — an incremental synthesizer must fall back
 /// to the cold engine there and repair exactly as before.

@@ -1,15 +1,14 @@
 //! Differential lockdown of the inprocessing layer and the diversified
 //! portfolio.
 //!
-//! Inprocessing (bounded variable elimination, subsumption with
-//! self-subsuming resolution, vivification) and portfolio diversification
+//! Inprocessing (subsumption with self-subsuming resolution,
+//! vivification) and portfolio diversification
 //! (per-worker seed / phase / restart policy) are pure *performance*
 //! features: for every function, engine, and worker count the verdict —
 //! `proven_optimal`, presence of a best circuit, its optimal metrics —
 //! must be identical with the features on and off, and decoded circuits
 //! must survive device-model replay. Any divergence is a soundness bug in
-//! the clause-database rewriting or the model reconstruction, never an
-//! acceptable trade-off.
+//! the clause-database rewriting, never an acceptable trade-off.
 
 use memristive_mm::boolfn::{generators, MultiOutputFn, TruthTable};
 use memristive_mm::circuit::{CircuitError, MmCircuit, Schedule};
@@ -90,8 +89,8 @@ fn device_verify(label: &str, circuit: &MmCircuit, f: &MultiOutputFn) {
 
 /// Every 2-input NPN class through the pure V-op step ladder, all four
 /// engine configurations, all worker counts: the `d_step` guard family
-/// must survive inprocessing's variable elimination (the guards are
-/// frozen) in both SAT and UNSAT-everywhere (XOR-class) ladders.
+/// must survive inprocessing's clause rewriting in both SAT and
+/// UNSAT-everywhere (XOR-class) ladders.
 #[test]
 fn npn_census_vsteps_ladders_are_inprocess_invariant() {
     let opts = EncodeOptions::recommended();
