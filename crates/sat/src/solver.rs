@@ -11,6 +11,7 @@ use mm_telemetry::Telemetry;
 use crate::drat::DratProof;
 use crate::share::ClauseBus;
 use crate::{Budget, CnfFormula, Lit, Model, ProofWriter, SolverStats, Var};
+use inprocess::{Candidate, SubsumeState};
 
 /// Clauses longer than this are never exported to a [`ClauseBus`], no
 /// matter how good their LBD: long clauses are expensive for importers to
@@ -255,6 +256,10 @@ pub struct Solver {
     /// Trail prefix whose implied level-0 literals have already been
     /// emitted to the DRAT log as unit additions (see `log_level0_units`).
     l0_units_logged: usize,
+    /// Subsumption state carried from one inprocessing pass to the next.
+    subsume: SubsumeState,
+    /// Tombstones (deleted entries) in `clauses`.
+    dead_clauses: usize,
     /// Restart interval policy (diversification).
     restart_policy: RestartPolicy,
 }
@@ -299,6 +304,8 @@ impl Solver {
             next_inprocess: INPROCESS_FIRST_AT,
             inprocess_interval: INPROCESS_FIRST_AT,
             l0_units_logged: 0,
+            subsume: SubsumeState::default(),
+            dead_clauses: 0,
             restart_policy: RestartPolicy::default(),
         };
         for clause in cnf.clauses() {
@@ -601,12 +608,7 @@ impl Solver {
                 -1 => self.ok = false,
                 _ => {}
             },
-            2 => {
-                // Indexed by the falsified literal: when lits[0] becomes
-                // false, lits[1] is implied (and vice versa).
-                self.bin_implications[lits[0].code() as usize].push(lits[1]);
-                self.bin_implications[lits[1].code() as usize].push(lits[0]);
-            }
+            2 => self.add_binary(lits[0], lits[1]),
             _ => {
                 let idx = self.clauses.len() as u32;
                 self.watches[lits[0].code() as usize].push(Watch {
@@ -626,6 +628,16 @@ impl Solver {
                 });
             }
         }
+    }
+
+    /// Installs the binary clause `(a ∨ b)` in the implication layer and
+    /// queues it as a subsumption candidate for the next pass.
+    fn add_binary(&mut self, a: Lit, b: Lit) {
+        // Indexed by the falsified literal: when `a` becomes false, `b` is
+        // implied (and vice versa).
+        self.bin_implications[a.code() as usize].push(b);
+        self.bin_implications[b.code() as usize].push(a);
+        self.subsume.queue.push_back(Candidate::Binary(a, b));
     }
 
     /// Adds a clause at decision level 0, simplifying it against the
@@ -648,6 +660,11 @@ impl Solver {
                 1 => return, // satisfied at level 0
                 -1 => {}     // falsified at level 0: drop
                 _ => {
+                    if reduced.contains(&!l) {
+                        // A tautology constrains nothing; keeping one out
+                        // also keeps subsumption's literal counting sound.
+                        return;
+                    }
                     if !reduced.contains(&l) {
                         reduced.push(l);
                     }
@@ -657,10 +674,7 @@ impl Solver {
         match reduced.len() {
             0 => self.ok = false,
             1 => self.enqueue(reduced[0], Reason::Decision),
-            2 => {
-                self.bin_implications[reduced[0].code() as usize].push(reduced[1]);
-                self.bin_implications[reduced[1].code() as usize].push(reduced[0]);
-            }
+            2 => self.add_binary(reduced[0], reduced[1]),
             _ => {
                 let idx = self.clauses.len() as u32;
                 self.watches[reduced[0].code() as usize].push(Watch {
@@ -1055,8 +1069,7 @@ impl Solver {
                 self.enqueue(learnt[0], Reason::Decision);
             }
             2 => {
-                self.bin_implications[learnt[0].code() as usize].push(learnt[1]);
-                self.bin_implications[learnt[1].code() as usize].push(learnt[0]);
+                self.add_binary(learnt[0], learnt[1]);
                 self.enqueue(learnt[0], Reason::Binary(learnt[1]));
             }
             _ => {
@@ -1155,7 +1168,7 @@ impl Solver {
             // storage is reclaimed.
             let lits = std::mem::take(&mut self.clauses[idx as usize].lits);
             self.proof_delete(&lits);
-            self.clauses[idx as usize].deleted = true;
+            self.mark_deleted(idx as usize);
             self.stats.deleted_clauses += 1;
         }
         // Stale watch entries are dropped lazily during propagation.

@@ -1,7 +1,7 @@
 //! Property-based validation of the inprocessing layer: simplification
 //! preserves satisfiability, models satisfy every original clause, every
-//! certified verdict stays checkable, and diversified solvers agree on
-//! every verdict.
+//! certified verdict stays checkable, the in-place rewrites keep the watch
+//! invariants, and diversified solvers agree on every verdict.
 
 use mm_sat::{drat, Budget, CnfFormula, Diversity, DratProof, Lit, SatResult, Solver, Var};
 use proptest::prelude::*;
@@ -12,6 +12,13 @@ use proptest::prelude::*;
 fn clauses_strategy(n_vars: u32) -> impl Strategy<Value = Vec<Vec<(u32, bool)>>> {
     let clause = prop::collection::vec((0..n_vars, any::<bool>()), 1..=4);
     prop::collection::vec(clause, 1..60)
+}
+
+/// Like [`clauses_strategy`] but without units, dense enough that the
+/// solver has to search and learn.
+fn search_strategy(n_vars: u32) -> impl Strategy<Value = Vec<Vec<(u32, bool)>>> {
+    let clause = prop::collection::vec((0..n_vars, any::<bool>()), 2..=4);
+    prop::collection::vec(clause, 20..70)
 }
 
 fn build(n_vars: u32, raw: &[Vec<(u32, bool)>]) -> (CnfFormula, Vec<Vec<Lit>>) {
@@ -111,6 +118,53 @@ proptest! {
                     "checker rejected an inprocessed proof: {:?}",
                     verdict
                 );
+            }
+            SatResult::Unknown => prop_assert!(false, "no budget was set"),
+        }
+    }
+
+    #[test]
+    fn passes_interleaved_with_search_keep_the_watch_invariants(
+        raw in search_strategy(11),
+        assumed in prop::collection::vec((0u32..11, any::<bool>(), 1u64..40), 1..6),
+    ) {
+        // Short budgeted solves (each under one assumption, so every call
+        // searches afresh and adds learnt clauses) alternate with passes.
+        // After every pass each live long clause is watched exactly through
+        // its first two literals; at the end the verdict matches brute
+        // force and an UNSAT proof spanning all the passes checks.
+        let (cnf, clauses) = build(11, &raw);
+        let expected = brute_force_sat(11, &clauses);
+        let mut solver =
+            Solver::new(cnf.clone()).with_proof_writer(Box::<DratProof>::default());
+        for &(v, pos, conflicts) in &assumed {
+            solver.inprocess_now();
+            if let Err(e) = solver.check_watches() {
+                prop_assert!(false, "after a pass: {}", e);
+            }
+            let budget = Budget::new().with_max_conflicts(conflicts);
+            solver.solve_under_assumptions(&[Var::from_index(v).lit(pos)], budget);
+            if let Err(e) = solver.check_watches() {
+                prop_assert!(false, "after a solve: {}", e);
+            }
+        }
+        solver.inprocess_now();
+        if let Err(e) = solver.check_watches() {
+            prop_assert!(false, "after the last pass: {}", e);
+        }
+        let (result, _, proof) = solver.solve_certified(Budget::new());
+        let proof = proof.expect("certified solve always returns the log");
+        match result {
+            SatResult::Sat(model) => {
+                prop_assert!(expected, "SAT but brute force UNSAT");
+                for c in &clauses {
+                    prop_assert!(c.iter().any(|&l| model.value(l)));
+                }
+            }
+            SatResult::Unsat => {
+                prop_assert!(!expected, "UNSAT but brute force SAT");
+                let verdict = drat::check(&cnf, &proof);
+                prop_assert!(verdict.is_ok(), "checker rejected: {:?}", verdict);
             }
             SatResult::Unknown => prop_assert!(false, "no budget was set"),
         }

@@ -52,9 +52,13 @@ struct Inner {
 
 impl Inner {
     fn emit(&self, kind: EventKind) {
+        self.emit_at(self.epoch.elapsed().as_micros() as u64, kind);
+    }
+
+    fn emit_at(&self, t_us: u64, kind: EventKind) {
         let event = Event {
             seq: self.next_seq.fetch_add(1, Ordering::Relaxed),
-            t_us: self.epoch.elapsed().as_micros() as u64,
+            t_us,
             thread: thread_label(),
             kind,
         };
@@ -154,6 +158,29 @@ impl Telemetry {
                     id,
                 }
             }
+        }
+    }
+
+    /// Records a span that ran from `opened` until now, for phases whose
+    /// attributes (work counts, outcomes) are only known once they finish.
+    ///
+    /// The open event, stamped at `opened`, and the close event are emitted
+    /// back to back, so the span nests under whatever span is open on this
+    /// thread. The caller must emit nothing on this thread between `opened`
+    /// and this call, or those events would land outside the span.
+    pub fn finished_span(&self, name: &str, opened: Instant, attrs: Vec<(String, AttrValue)>) {
+        if let Some(inner) = &self.inner {
+            let id = inner.next_span.fetch_add(1, Ordering::Relaxed) + 1;
+            let t_open = opened.saturating_duration_since(inner.epoch).as_micros() as u64;
+            inner.emit_at(
+                t_open,
+                EventKind::SpanOpen {
+                    id,
+                    name: name.to_string(),
+                    attrs,
+                },
+            );
+            inner.emit(EventKind::SpanClose { id });
         }
     }
 
@@ -265,6 +292,32 @@ mod tests {
         let solve = report.phase(&["run", "solve"]).expect("solve");
         assert_eq!(solve.count, 2);
         assert_eq!(report.counter("solver.conflicts"), 10);
+    }
+
+    #[test]
+    fn finished_span_nests_and_keeps_its_duration() {
+        let sink = Arc::new(MemorySink::new());
+        let telemetry = Telemetry::new(sink.clone());
+        {
+            let _solve = telemetry.span("solve");
+            let opened = Instant::now();
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            telemetry.finished_span("inprocess", opened, vec![kv("checks", 5u64)]);
+        }
+        let events = sink.snapshot();
+        let report = RunReport::from_events(&events);
+        let pass = report.phase(&["solve", "inprocess"]).expect("nested span");
+        assert_eq!(pass.count, 1);
+        assert!(pass.total_us >= 2_000, "duration spans the work: {pass:?}");
+        let attrs = events
+            .iter()
+            .find_map(|e| match &e.kind {
+                EventKind::SpanOpen { name, attrs, .. } if name == "inprocess" => Some(attrs),
+                _ => None,
+            })
+            .expect("open event");
+        assert_eq!(attr(attrs, "checks").and_then(|v| v.as_u64()), Some(5));
+        Telemetry::disabled().finished_span("inprocess", Instant::now(), Vec::new());
     }
 
     #[test]

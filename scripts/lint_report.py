@@ -7,7 +7,9 @@ Fails (exit 1) when:
 * any trace line is not valid JSON, or the meta stamp (first event by
   sequence number) is missing or carries the wrong trace schema version;
 * the run report is missing its schema version, the expected phases
-  (synth with encode/solve children), or rung summaries;
+  (synth with encode/solve children), or rung summaries, or has an
+  `inprocess` phase (one per solver inprocessing pass) anywhere but
+  directly under `solve`;
 * rung outcomes fall outside the documented vocabulary, or no rung
   decided the run (every minimization has at least one SAT/UNSAT rung);
 * the stats sidecar (when given) is missing its schema version or call
@@ -64,6 +66,13 @@ def phase_names(nodes):
         yield from phase_names(node.get("children", []))
 
 
+def phase_parents(nodes, parent=None):
+    """Yields (name, parent name) for every phase node."""
+    for node in nodes:
+        yield node["name"], parent
+        yield from phase_parents(node.get("children", []), node["name"])
+
+
 def lint_report(path):
     with open(path, encoding="utf-8") as fh:
         report = json.load(fh)
@@ -75,6 +84,12 @@ def lint_report(path):
     names = set(phase_names(report.get("phases", [])))
     for phase in ("synth", "encode", "solve"):
         check(phase in names, f"{path}: phase {phase!r} missing (got {sorted(names)})")
+    for name, parent in phase_parents(report.get("phases", [])):
+        if name == "inprocess":
+            check(
+                parent == "solve",
+                f"{path}: inprocess phase under {parent!r}, want 'solve'",
+            )
     rungs = report.get("rungs", [])
     check(rungs, f"{path}: no rung summaries")
     for rung in rungs:
