@@ -630,14 +630,17 @@ impl Solver {
         }
     }
 
-    /// Installs the binary clause `(a ∨ b)` in the implication layer and
-    /// queues it as a subsumption candidate for the next pass.
+    /// Installs the binary clause `(a ∨ b)` in the implication layer and,
+    /// once inprocessing has started, queues it as a subsumption candidate
+    /// for the next pass.
     fn add_binary(&mut self, a: Lit, b: Lit) {
         // Indexed by the falsified literal: when `a` becomes false, `b` is
         // implied (and vice versa).
         self.bin_implications[a.code() as usize].push(b);
         self.bin_implications[b.code() as usize].push(a);
-        self.subsume.queue.push_back(Candidate::Binary(a, b));
+        if self.subsume.started {
+            self.subsume.queue.push_back(Candidate::Binary(a, b));
+        }
     }
 
     /// Adds a clause at decision level 0, simplifying it against the

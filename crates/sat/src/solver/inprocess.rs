@@ -18,12 +18,13 @@
 //!    these checks persist across passes: each pass indexes only the long
 //!    clauses appended since the last one.
 //!
-//! Strengthening that removes a watched literal re-attaches the clause; a
-//! clause that shrinks to two literals moves to the binary layer; a derived
-//! unit is propagated from the current queue head. Tombstones are reclaimed
-//! by compacting the clause vector once they outnumber the live clauses;
-//! watches, occurrence lists, level-0 reasons and queued candidates follow
-//! the moved clauses to their new indices.
+//! Strengthening re-attaches the clause's watches (a watch's blocker may be
+//! the removed literal); a clause that shrinks to two literals moves to the
+//! binary layer; a derived unit is propagated from the current queue head.
+//! Tombstones are reclaimed by compacting the clause vector once they
+//! outnumber the live learnt clauses; watches, occurrence lists, level-0
+//! reasons and queued candidates follow the moved clauses to their new
+//! indices.
 //!
 //! # DRAT coverage
 //!
@@ -61,8 +62,11 @@ use crate::{Budget, Lit};
 const VIVIFY_MAX_CLAUSES: usize = 256;
 /// Max trail pushes vivification may spend per pass.
 const VIVIFY_PROP_BUDGET: usize = 20_000;
-/// Max subsumption candidate comparisons per pass: occurrence entries whose
-/// signature a base is compared with, plus one per binary base's lookups.
+/// Max subsumption candidate comparisons per pass: live occurrence entries
+/// a base's scan visits, whether or not they pass the signature and length
+/// filters, plus one per binary base's lookups. Counting visits rather than
+/// filtered pairs bounds the scans themselves, which dominate a pass over a
+/// large database (see `scripts/ladder_sweep.py` and EXPERIMENTS.md).
 const SUBSUME_CHECK_BUDGET: usize = 200_000;
 
 /// A clause waiting to be used as a subsumption base.
@@ -77,6 +81,9 @@ pub(super) enum Candidate {
 /// Subsumption state carried from one pass to the next.
 #[derive(Debug, Default)]
 pub(super) struct SubsumeState {
+    /// Whether a pass has run. Until then binaries are not queued one by
+    /// one: the first pass takes every binary from the implication lists.
+    pub(super) started: bool,
     /// Candidates waiting for a pass: what the last pass's budget left
     /// (the first `carried` entries), then every binary added since and
     /// clauses vivification shortened in place.
@@ -88,70 +95,21 @@ pub(super) struct SubsumeState {
     /// `occurs[l.code()]`: the long clauses containing `l`, in increasing
     /// index order. Entries of deleted or shrunk clauses go stale and are
     /// dropped lazily, so every use re-checks the clause.
-    occurs: Vec<Vec<Occurrence>>,
-    /// [`Sig`] per indexed clause: a superset of the clause's current one,
-    /// or empty once the clause is deleted. The long clauses past its end
+    occurs: Vec<Vec<u32>>,
+    /// [`var_sig`] per indexed clause: a superset of the clause's current
+    /// one, or 0 once the clause is deleted. The long clauses past its end
     /// were added since the previous pass (long clauses are append-only
     /// between passes); each pass indexes them.
-    sig: Vec<Sig>,
+    sig: Vec<u64>,
 }
 
-/// One entry of an occurrence list.
-#[derive(Debug, Clone, Copy)]
-struct Occurrence {
-    clause: u32,
-    /// The clause's length when indexed (an upper bound on its length), so
-    /// that bases longer than the clause skip it without reading it.
-    len: u32,
-}
-
-/// 256-bit literal-set signature. A base can subsume or strengthen a
-/// clause only if at most one of its literals (the clashing one) is missing
-/// from the clause, so [`Sig::excess`] above 1 rules the pair out without
-/// reading either clause.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Sig([u64; 4]);
-
-impl Sig {
-    fn bit(l: Lit) -> usize {
-        (l.code().wrapping_mul(0x9E37_79B1) >> 24) as usize
-    }
-
-    fn of(lits: &[Lit]) -> Self {
-        let mut s = [0u64; 4];
-        for &l in lits {
-            let b = Self::bit(l);
-            s[b >> 6] |= 1u64 << (b & 63);
-        }
-        Self(s)
-    }
-
-    /// The signature of a deleted clause (a live one has literals).
-    fn is_empty(&self) -> bool {
-        self.0 == [0; 4]
-    }
-
-    fn has(&self, l: Lit) -> bool {
-        let b = Self::bit(l);
-        self.0[b >> 6] >> (b & 63) & 1 == 1
-    }
-
-    /// Bits set here but not in `other`.
-    fn excess(&self, other: &Sig) -> u32 {
-        (0..4).map(|k| (self.0[k] & !other.0[k]).count_ones()).sum()
-    }
-
-    /// Whether `base` (with signature `self`) can subsume or strengthen a
-    /// clause with signature `other`.
-    fn may_reach(&self, base: &[Lit], other: &Sig) -> bool {
-        match self.excess(other) {
-            0 => true,
-            // The one missing literal must be the clashing one, whose
-            // negation the other clause then holds.
-            1 => base.iter().any(|&l| !other.has(l) && other.has(!l)),
-            _ => false,
-        }
-    }
+/// 64-bit variable-set signature. A base can subsume or strengthen a
+/// clause only if every variable of the base occurs in the clause, so a
+/// base bit missing from the clause's signature rules the pair out. Never
+/// 0 for a clause with literals.
+fn var_sig(lits: &[Lit]) -> u64 {
+    lits.iter()
+        .fold(0u64, |s, l| s | 1u64 << (l.var().index() % 64))
 }
 
 enum Check {
@@ -280,6 +238,20 @@ impl Solver {
         if self.propagate().is_some() {
             self.ok = false;
             return SubsumeCounts::default();
+        }
+        if !self.subsume.started {
+            // Every binary so far is a candidate of the first pass; later
+            // ones are queued by `add_binary` as they arrive.
+            self.subsume.started = true;
+            for code in 0..self.bin_implications.len() {
+                let a = Lit::from_code(code as u32);
+                for k in 0..self.bin_implications[code].len() {
+                    let b = self.bin_implications[code][k];
+                    if a.code() < b.code() {
+                        self.subsume.queue.push_back(Candidate::Binary(a, b));
+                    }
+                }
+            }
         }
         self.log_level0_units();
         self.vivify();
@@ -438,7 +410,7 @@ impl Solver {
             let old = std::mem::replace(&mut self.clauses[idx].lits, kept);
             self.proof_delete(&old);
             if let Some(sig) = self.subsume.sig.get_mut(idx) {
-                *sig = Sig::of(&self.clauses[idx].lits);
+                *sig = var_sig(&self.clauses[idx].lits);
             }
             let c = &mut self.clauses[idx];
             c.lbd = c.lbd.min(c.lits.len() as u32);
@@ -482,7 +454,7 @@ impl Solver {
         self.clauses[idx].deleted = true;
         self.dead_clauses += 1;
         if let Some(sig) = self.subsume.sig.get_mut(idx) {
-            *sig = Sig::default();
+            *sig = 0;
         }
     }
 
@@ -542,7 +514,15 @@ impl Solver {
         }
         self.subsume.queue.extend(backlog);
         self.subsume.carried = self.subsume.queue.len();
-        if self.ok && self.dead_clauses > self.clauses.len() - self.dead_clauses {
+        // Tombstones are measured against the learnt clauses, the part of
+        // the database that turns over: against the whole of it, a large
+        // irredundant base would put compaction off indefinitely.
+        let live_learnt = self
+            .clauses
+            .iter()
+            .filter(|c| c.learnt && !c.deleted)
+            .count();
+        if self.ok && self.dead_clauses > live_learnt {
             self.compact();
         }
         SubsumeCounts {
@@ -581,32 +561,12 @@ impl Solver {
     /// signatures — at the first pass the whole input formula, later the
     /// clauses added since the previous pass.
     fn index_clauses(&mut self, from: usize, to: usize) {
-        let n_lits = 2 * self.n_vars;
-        if from == 0 {
-            // The input formula: exact reservations, since growing
-            // thousands of lists entry by entry from empty costs several
-            // times the indexing itself.
-            let mut count = vec![0u32; n_lits];
-            for c in &self.clauses[..to] {
-                for &l in &c.lits {
-                    count[l.code() as usize] += 1;
-                }
-            }
-            for (list, &k) in self.subsume.occurs.iter_mut().zip(&count) {
-                list.reserve(k as usize);
-            }
-        }
-        self.subsume.sig.reserve(to - from);
         for i in from..to {
             let c = &self.clauses[i];
-            let entry = Occurrence {
-                clause: i as u32,
-                len: c.lits.len() as u32,
-            };
             for &l in &c.lits {
-                self.subsume.occurs[l.code() as usize].push(entry);
+                self.subsume.occurs[l.code() as usize].push(i as u32);
             }
-            self.subsume.sig.push(Sig::of(&c.lits));
+            self.subsume.sig.push(var_sig(&c.lits));
         }
     }
 
@@ -623,7 +583,7 @@ impl Solver {
         for k in from..to {
             let t = self.trail[k];
             for pos in 0..self.subsume.occurs[t.code() as usize].len() {
-                let j = self.subsume.occurs[t.code() as usize][pos].clause as usize;
+                let j = self.subsume.occurs[t.code() as usize][pos] as usize;
                 if !self.clauses[j].deleted && self.clauses[j].lits.contains(&t) {
                     self.delete_long(j);
                 }
@@ -636,7 +596,7 @@ impl Solver {
         for k in from..to {
             let f = !self.trail[k];
             for pos in 0..self.subsume.occurs[f.code() as usize].len() {
-                let j = self.subsume.occurs[f.code() as usize][pos].clause as usize;
+                let j = self.subsume.occurs[f.code() as usize][pos] as usize;
                 if self.clauses[j].deleted {
                     continue;
                 }
@@ -803,9 +763,10 @@ impl Solver {
 
     /// Checks the marked `base` against the live long clauses over
     /// `pivot`'s variable; both polarities cover every subsumption and every
-    /// self-subsuming resolution the base can justify. Each entry whose
-    /// signature is compared costs one unit of the budget; entries of
-    /// deleted clauses met on the way are dropped from the lists.
+    /// self-subsuming resolution the base can justify. Each live entry
+    /// visited costs one unit of the budget; entries of deleted clauses met
+    /// on the way are dropped from the lists free of charge (each is
+    /// dropped once).
     ///
     /// Returns `None` when the budget ran out, otherwise whether an
     /// irredundant clause was subsumed.
@@ -817,7 +778,7 @@ impl Solver {
         fresh_only: bool,
         w: &mut PassWork,
     ) -> Option<bool> {
-        let base_sig = Sig::of(base);
+        let base_sig = var_sig(base);
         let mut subsumed_irredundant = false;
         for side in [pivot, !pivot] {
             let code = side.code() as usize;
@@ -828,32 +789,25 @@ impl Solver {
             let mut dropped_old = 0u32;
             let mut out_of_budget = false;
             while read < len {
-                let e = self.subsume.occurs[code][read];
-                let j = e.clause as usize;
-                // Shorter clauses cannot contain the base: skipped unread.
-                let long_enough = e.len as usize >= base.len();
-                if long_enough {
-                    if w.budget == 0 {
-                        out_of_budget = true;
-                        break;
+                let j = self.subsume.occurs[code][read] as usize;
+                let sig = self.subsume.sig[j];
+                if sig == 0 {
+                    // Deleted: drop the entry.
+                    if read < fresh_start {
+                        dropped_old += 1;
                     }
-                    w.charge(1);
-                    if self.subsume.sig[j].is_empty() {
-                        if read < fresh_start {
-                            dropped_old += 1;
-                        }
-                        read += 1;
-                        continue; // deleted: drop the entry
-                    }
+                    read += 1;
+                    continue;
                 }
+                if w.budget == 0 {
+                    out_of_budget = true;
+                    break;
+                }
+                w.charge(1);
                 read += 1;
-                self.subsume.occurs[code][keep] = e;
+                self.subsume.occurs[code][keep] = j as u32;
                 keep += 1;
-                if !long_enough
-                    || j == skip
-                    || !base_sig.may_reach(base, &self.subsume.sig[j])
-                    || self.clauses[j].lits.len() < base.len()
-                {
+                if j == skip || base_sig & !sig != 0 || self.clauses[j].lits.len() < base.len() {
                     continue;
                 }
                 match subsume_check(&w.marks, base.len(), &self.clauses[j].lits) {
@@ -887,12 +841,13 @@ impl Solver {
     }
 
     /// Removes the literal at position `p` of live long clause `j` in
-    /// place (the result is RUP), re-watching the clause if `p` was
-    /// watched. A clause left with two literals moves to the binary layer;
-    /// a longer one is queued as a candidate again.
+    /// place (the result is RUP) and re-watches the clause: either watch's
+    /// blocker may be the removed literal, wherever it sits. A clause left
+    /// with two literals moves to the binary layer; a longer one is queued
+    /// as a candidate again.
     fn remove_literal(&mut self, j: usize, p: usize, w: &mut PassWork) {
         let stays_long = self.clauses[j].lits.len() > 3;
-        if stays_long && p < 2 {
+        if stays_long {
             self.detach_watches(j);
         }
         let mut lits = std::mem::take(&mut self.clauses[j].lits);
@@ -906,13 +861,11 @@ impl Solver {
             self.add_binary(lits[0], lits[1]);
             return;
         }
-        self.subsume.sig[j] = Sig::of(&lits);
+        self.subsume.sig[j] = var_sig(&lits);
         let c = &mut self.clauses[j];
         c.lits = lits;
         c.lbd = c.lbd.min(c.lits.len() as u32);
-        if p < 2 {
-            self.attach_watches(j);
-        }
+        self.attach_watches(j);
         if !w.queued[j] {
             w.queued[j] = true;
             self.subsume.queue.push_back(Candidate::Long(j as u32));
@@ -963,7 +916,7 @@ impl Solver {
             ws.retain_mut(|w| moved(&mut w.clause));
         }
         for list in &mut self.subsume.occurs {
-            list.retain_mut(|e| moved(&mut e.clause));
+            list.retain_mut(|j| moved(j));
         }
         let mut k = 0;
         self.subsume.sig.retain(|_| {
@@ -989,9 +942,9 @@ impl Solver {
 
     /// Verifies the watch invariants of the long clauses: every live clause
     /// has at least three literals and exactly two watch entries, one on
-    /// `lits[0]` and one on `lits[1]`, and no live clause is watched
-    /// through any other literal. Entries of deleted clauses are allowed
-    /// (they are dropped lazily).
+    /// `lits[0]` and one on `lits[1]`, each with a blocker from the clause,
+    /// and no live clause is watched through any other literal. Entries of
+    /// deleted clauses are allowed (they are dropped lazily).
     ///
     /// A test and tooling hook, O(database); the solver never calls it.
     pub fn check_watches(&self) -> Result<(), String> {
@@ -1011,6 +964,12 @@ impl Solver {
                     c.lits.iter().take(2).position(|&x| x == l).ok_or_else(|| {
                         format!("clause {idx} {:?} watched through {l:?}", c.lits)
                     })?;
+                if !c.lits.contains(&w.blocker) {
+                    return Err(format!(
+                        "clause {idx} {:?} watched on {l:?} with blocker {:?}",
+                        c.lits, w.blocker
+                    ));
+                }
                 if std::mem::replace(&mut seen[idx][k], true) {
                     return Err(format!("clause {idx} watched twice on {l:?}"));
                 }
@@ -1037,6 +996,7 @@ mod tests {
 
     use mm_telemetry::{attr, EventKind, MemorySink, RunReport, Telemetry};
 
+    use super::Reason;
     use crate::{drat, Budget, CnfFormula, DratProof, Lit, Solver};
 
     /// The `[candidates, checks, subsumed, strengthened, vivified]`
@@ -1264,10 +1224,39 @@ mod tests {
     }
 
     #[test]
-    fn tombstones_are_compacted_once_they_outnumber_live_clauses() {
+    fn strengthening_away_a_blocker_rewatches_the_clause() {
+        // Falsifying x1 at level 1 moves it behind the watches: the clause
+        // (x0 x1 x2 x3) reads (x0 x2 x1 x3), and its watch on x0 keeps x1 as
+        // the blocker. The base (x0 x2 ¬x1) then strengthens x1 away. A
+        // watch left with x1 as its blocker would skip the clause whenever
+        // x1 is true, losing its propagations.
+        let mut cnf = CnfFormula::new();
+        let x = cnf.new_lits(4);
+        cnf.add_clause([x[0], x[1], x[2], x[3]]);
+        cnf.add_clause([x[0], x[2], !x[1]]);
+        let mut solver = Solver::new(cnf);
+        solver.trail_lim.push(solver.trail.len());
+        solver.enqueue(!x[1], Reason::Decision);
+        assert!(solver.propagate().is_none());
+        solver.backtrack_to(0);
+        assert_eq!(solver.clauses[0].lits, [x[0], x[2], x[1], x[3]]);
+        let on_x0 = &solver.watches[x[0].code() as usize];
+        assert!(on_x0.iter().any(|w| w.clause == 0 && w.blocker == x[1]));
+
+        solver.subsume();
+        assert_eq!(solver.stats().strengthened_clauses, 1);
+        assert!(!solver.clauses[0].lits.contains(&x[1]));
+        solver
+            .check_watches()
+            .expect("blockers name clause literals");
+        assert!(solver.solve().is_sat());
+    }
+
+    #[test]
+    fn tombstones_are_compacted_once_they_outnumber_live_learnt_clauses() {
         // The binary (a b) subsumes every long clause containing a and b,
-        // leaving mostly tombstones: the pass compacts them away, and the
-        // moved clauses keep their watches and their meaning.
+        // leaving tombstones and no learnt clause: the pass compacts them
+        // away, and the moved clauses keep their watches and their meaning.
         let mut cnf = CnfFormula::new();
         let v = cnf.new_lits(12);
         let (a, b) = (v[0], v[1]);
