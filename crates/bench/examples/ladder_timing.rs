@@ -1,4 +1,4 @@
-//! Quick warm-vs-cold ladder timing probe (developer tool, not a bench).
+//! Quick ladder timing probe (developer tool, not a bench).
 //!
 //! ```text
 //! cargo run --release -p mm-bench --example ladder_timing -- [jobs]
@@ -11,7 +11,7 @@ use mm_boolfn::generators;
 use mm_synth::optimize::parallel;
 use mm_synth::{EncodeOptions, Synthesizer};
 
-/// One timed ladder, run once per engine.
+/// One timed ladder.
 type Workload<'a> = Box<dyn Fn(&Synthesizer) + 'a>;
 
 fn main() {
@@ -48,14 +48,10 @@ fn main() {
         ),
     ];
 
+    let synth = Synthesizer::new();
     for (name, run) in &workloads {
-        for (engine, synth) in [
-            ("cold", Synthesizer::new()),
-            ("warm", Synthesizer::new().with_incremental(true)),
-        ] {
-            let t = Instant::now();
-            run(&synth);
-            println!("{name} [j{jobs}] {engine}: {:.2?}", t.elapsed());
-        }
+        let t = Instant::now();
+        run(&synth);
+        println!("{name} [j{jobs}]: {:.2?}", t.elapsed());
     }
 }

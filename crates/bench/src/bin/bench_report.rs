@@ -244,10 +244,10 @@ fn service_cache_probe(report: &mut BenchReport) {
     );
 }
 
-/// Inprocessing probe: the 1-bit adder's warm mixed-mode ladder run at
-/// one worker with inprocessing on and off. The inprocessing activity
-/// counters and per-run conflict totals are deterministic (one warm
-/// worker, canonical diversity); the on/off wall-clock ratio is the
+/// Inprocessing probe: the 1-bit adder's mixed-mode ladder run at one
+/// worker with inprocessing on and off. The inprocessing activity
+/// counters and per-run conflict totals are deterministic (one worker);
+/// the on/off wall-clock ratio is the
 /// advisory speedup headline. Both runs must agree on the verdict — that
 /// is the same invariant `tests/inprocess_differential.rs` locks down,
 /// re-checked here on the exact workload the trajectory tracks.
@@ -258,7 +258,6 @@ fn inprocess_probe(report: &mut BenchReport) {
     let run = |inprocess: bool| {
         let sink = Arc::new(MemorySink::new());
         let synth = Synthesizer::new()
-            .with_incremental(true)
             .with_budget(Budget::new().with_inprocess(inprocess))
             .with_telemetry(Telemetry::new(sink.clone()));
         let started = Instant::now();

@@ -79,10 +79,6 @@ pub(crate) struct VarMap {
     pub g_in: [Vec<Vec<Lit>>; 2],
     /// `g^O[output][producer]`.
     pub g_o: Vec<Vec<Lit>>,
-    /// `v[vop][row]` — V-op output values, leg-major. Not needed for
-    /// decoding, but the shared-base incremental encoding guards them with
-    /// passthrough clauses (empty in a projected map).
-    pub v_vars: Vec<Vec<Lit>>,
 }
 
 /// Number of producers visible to R-op `i`: literals, legs, preceding
@@ -494,216 +490,8 @@ pub(crate) fn encode(spec: &SynthSpec) -> Result<Encoded, SynthError> {
             be_per_step,
             g_in,
             g_o,
-            v_vars,
         },
     })
-}
-
-/// Whether a spec's ladder may run on the shared-base incremental engine.
-///
-/// Cell avoidance is excluded because its feed-literal budget counts the
-/// selector columns of *disabled* R-ops too, breaking the equisatisfiability
-/// argument below. Forced-TE constraints are excluded because their
-/// positions are rung-relative (a forced V-op may not exist on smaller
-/// rungs).
-pub(crate) fn incremental_compatible(spec: &SynthSpec) -> bool {
-    spec.cell_avoidance().is_none() && spec.options().forced_te.is_empty()
-}
-
-/// A shared base encoding of `Φ(f)` at maximal budgets, with *disable*
-/// assumption literals guarding every rung-varying constraint.
-///
-/// Three families of fresh literals are appended to the maximal encoding:
-/// `d_step[s]`, `d_leg[l]`, `d_rop[p]`. Asserting one removes the
-/// corresponding resource from the circuit:
-///
-/// * `d_step[s]` forces step `s` of **every** leg to be a passthrough
-///   (`v_i ≡ v_{i−1}`, or `¬v_i` at `s = 0`) and forbids output taps of
-///   that step. The passthrough is what keeps the base layout's leg-final
-///   column — which R-op inputs read — equal to the last *enabled* step's
-///   value.
-/// * `d_leg[l]` forbids R-op inputs and output taps of leg `l`.
-/// * `d_rop[p]` forbids later R-ops' inputs and output taps of R-op `p`.
-///
-/// A rung `(n_rops, n_legs, n_vsteps)` is then solved under the assumption
-/// set that disables the suffix of each family (see
-/// [`SharedBase::assumptions_for`]). The disable literals appear only in
-/// guard position (`¬d ∨ …`), so with all of them free the base encoding
-/// is exactly `encode(base_spec)` plus vacuously satisfiable guards — and
-/// under a rung's assumptions it is equisatisfiable with the rung's cold
-/// encoding: a cold model extends to the base (disabled steps become
-/// TE = BE passthrough cycles, disabled legs/R-ops pick arbitrary
-/// untapped configurations), and a base model restricted to the enabled
-/// selector columns ([`SharedBase::project_map`]) decodes as a rung
-/// circuit, which `Synthesizer` verifies against `f` as usual.
-#[derive(Debug)]
-pub(crate) struct SharedBase {
-    /// The maximal-budget spec this base was built from.
-    pub base_spec: SynthSpec,
-    pub cnf: CnfFormula,
-    pub stats: EncodeStats,
-    map: VarMap,
-    d_rop: Vec<Lit>,
-    d_leg: Vec<Lit>,
-    d_step: Vec<Lit>,
-}
-
-pub(crate) fn encode_shared_base(base_spec: &SynthSpec) -> Result<SharedBase, SynthError> {
-    debug_assert!(incremental_compatible(base_spec));
-    let start = Instant::now();
-    let Encoded { mut cnf, map, .. } = encode(base_spec)?;
-    let n_lit = map.literals.len();
-    let n_rows = base_spec.function().n_rows();
-    let (max_rops, max_legs, max_vsteps) =
-        (base_spec.n_rops(), base_spec.n_legs(), base_spec.n_vsteps());
-
-    let d_step = cnf.new_lits(max_vsteps);
-    let d_leg = cnf.new_lits(max_legs);
-    let d_rop = cnf.new_lits(max_rops);
-
-    for (st, &d) in d_step.iter().enumerate() {
-        for leg in 0..max_legs {
-            let i = leg * max_vsteps + st;
-            // No output may tap a disabled step …
-            for out_row in &map.g_o {
-                cnf.add_clause([!d, !out_row[n_lit + i]]);
-            }
-            // … and the step passes its predecessor's value through, so
-            // the leg-final column (read by R-op inputs) carries the last
-            // enabled step's value.
-            for q in 0..n_rows {
-                let v = map.v_vars[i][q];
-                if st == 0 {
-                    cnf.add_clause([!d, !v]);
-                } else {
-                    cnf.add_guarded_iff(&[d], v, map.v_vars[i - 1][q]);
-                }
-            }
-        }
-    }
-
-    for (leg, &d) in d_leg.iter().enumerate() {
-        // No R-op may read a disabled leg's final value …
-        for side in &map.g_in {
-            for row in side {
-                cnf.add_clause([!d, !row[n_lit + leg]]);
-            }
-        }
-        // … and no output may tap any of its V-ops.
-        for st in 0..max_vsteps {
-            let col = n_lit + leg * max_vsteps + st;
-            for out_row in &map.g_o {
-                cnf.add_clause([!d, !out_row[col]]);
-            }
-        }
-    }
-
-    for (p, &d) in d_rop.iter().enumerate() {
-        // No later R-op may read a disabled R-op …
-        for side in &map.g_in {
-            for (i, row) in side.iter().enumerate() {
-                if i > p {
-                    cnf.add_clause([!d, !row[n_lit + max_legs + p]]);
-                }
-            }
-        }
-        // … and no output may tap it.
-        let col = n_lit + max_legs * max_vsteps + p;
-        for out_row in &map.g_o {
-            cnf.add_clause([!d, !out_row[col]]);
-        }
-    }
-
-    let stats = EncodeStats {
-        n_vars: cnf.n_vars(),
-        n_clauses: cnf.n_clauses(),
-        encode_time: start.elapsed(),
-    };
-    Ok(SharedBase {
-        base_spec: base_spec.clone(),
-        cnf,
-        stats,
-        map,
-        d_rop,
-        d_leg,
-        d_step,
-    })
-}
-
-impl SharedBase {
-    /// The assumption set selecting rung `spec`: disable the suffix of
-    /// every resource family beyond the rung's budgets.
-    pub fn assumptions_for(&self, spec: &SynthSpec) -> Vec<Lit> {
-        debug_assert!(spec.n_rops() <= self.base_spec.n_rops());
-        debug_assert!(spec.n_legs() <= self.base_spec.n_legs());
-        debug_assert!(spec.n_vsteps() <= self.base_spec.n_vsteps());
-        let mut assumptions =
-            Vec::with_capacity(self.d_rop.len() + self.d_leg.len() + self.d_step.len());
-        assumptions.extend_from_slice(&self.d_rop[spec.n_rops()..]);
-        assumptions.extend_from_slice(&self.d_leg[spec.n_legs()..]);
-        assumptions.extend_from_slice(&self.d_step[spec.n_vsteps()..]);
-        assumptions
-    }
-
-    /// Restricts the base variable map to rung `spec`'s selector columns,
-    /// yielding a map the ordinary decoder accepts for that rung.
-    ///
-    /// The guard clauses guarantee that in a model under the rung's
-    /// assumptions, every selector row places its single `true` inside the
-    /// projected columns (disabled columns are all forced false), so
-    /// `decoder::decode`'s exactly-one check carries over.
-    pub fn project_map(&self, spec: &SynthSpec) -> VarMap {
-        let n_lit = self.map.literals.len();
-        let (max_legs, max_vsteps) = (self.base_spec.n_legs(), self.base_spec.n_vsteps());
-        let (n_rops, n_legs, n_vsteps) = (spec.n_rops(), spec.n_legs(), spec.n_vsteps());
-        let vop_rows = |rows: &[Vec<Lit>]| -> Vec<Vec<Lit>> {
-            (0..n_legs)
-                .flat_map(|leg| (0..n_vsteps).map(move |st| rows[leg * max_vsteps + st].clone()))
-                .collect()
-        };
-        let g_te = vop_rows(&self.map.g_te);
-        let g_be = if self.map.be_per_step {
-            self.map.g_be[..n_vsteps].to_vec()
-        } else {
-            vop_rows(&self.map.g_be)
-        };
-        let g_in = [0, 1].map(|side: usize| {
-            (0..n_rops)
-                .map(|i| {
-                    let row = &self.map.g_in[side][i];
-                    let mut projected = Vec::with_capacity(n_lit + n_legs + i);
-                    projected.extend_from_slice(&row[..n_lit + n_legs]);
-                    projected.extend((0..i).map(|p| row[n_lit + max_legs + p]));
-                    projected
-                })
-                .collect()
-        });
-        let g_o = self
-            .map
-            .g_o
-            .iter()
-            .map(|row| {
-                let mut projected = Vec::with_capacity(n_lit + n_legs * n_vsteps + n_rops);
-                projected.extend_from_slice(&row[..n_lit]);
-                for leg in 0..n_legs {
-                    for st in 0..n_vsteps {
-                        projected.push(row[n_lit + leg * max_vsteps + st]);
-                    }
-                }
-                projected.extend((0..n_rops).map(|p| row[n_lit + max_legs * max_vsteps + p]));
-                projected
-            })
-            .collect();
-        VarMap {
-            literals: self.map.literals.clone(),
-            g_te,
-            g_be,
-            be_per_step: self.map.be_per_step,
-            g_in,
-            g_o,
-            v_vars: Vec::new(),
-        }
-    }
 }
 
 /// Emits `guard → (r ≡ kind(a, b))` for one row, folding constants.

@@ -6,14 +6,12 @@
 //! deadline), certification, job counts, cell-avoidance masks, an electrical
 //! sweep corner, an optional [`FaultPlan`] with campaign trials, and an
 //! optional repair pass. [`run_scenario`] drives the scenario through
-//! synthesize (warm and cold) → certify → device-verify → fault campaign →
+//! synthesize → certify → device-verify → fault campaign →
 //! repair, checking cross-cutting invariants at every stage:
 //!
-//! * **Jobs invariance** — the cold portfolio reports the same best circuit
+//! * **Jobs invariance** — the portfolio reports the same best circuit
 //!   and `proven_optimal` for every job count (the lattice argument in
 //!   `optimize::parallel`).
-//! * **Warm/cold verdict equality** — under an unlimited budget the
-//!   incremental engine must agree with the cold one rung for rung.
 //! * **Inprocessing invariance** — disabling solver inprocessing (the
 //!   `--no-inprocess` regime) never changes a verdict or `proven_optimal`.
 //! * **Degraded honesty** — `proven_optimal` is never claimed on a degraded
@@ -205,8 +203,8 @@ impl FuzzScenario {
     }
 
     /// True when every solve runs to completion (no conflict cap, no
-    /// deadline) — the regime where warm/cold and cross-jobs verdicts are
-    /// all forced to agree.
+    /// deadline) — the regime where the verdicts of every configuration
+    /// (jobs, inprocessing, certification) are forced to agree.
     pub fn unlimited(&self) -> bool {
         self.max_conflicts.is_none() && !self.zero_deadline
     }
@@ -278,7 +276,7 @@ impl Shrink for FuzzScenario {
 pub struct Violation {
     /// Name of the scenario that failed.
     pub scenario: String,
-    /// Stable invariant identifier (e.g. `warm-cold-equality`).
+    /// Stable invariant identifier (e.g. `jobs-invariance`).
     pub invariant: String,
     /// Human-readable failure description.
     pub detail: String,
@@ -359,10 +357,8 @@ pub fn run_scenario(sc: &FuzzScenario, cfg: &FuzzConfig) -> Result<ScenarioRepor
     }
 
     let options = EncodeOptions::recommended();
-    let make_synth = |certify: bool, incremental: bool| {
-        let mut synth = Synthesizer::new()
-            .with_certification(certify)
-            .with_incremental(incremental);
+    let make_synth = |certify: bool| {
+        let mut synth = Synthesizer::new().with_certification(certify);
         if let Some(budget) = sc.budget() {
             synth = synth.with_budget(budget);
         }
@@ -434,7 +430,7 @@ pub fn run_scenario(sc: &FuzzScenario, cfg: &FuzzConfig) -> Result<ScenarioRepor
     let mut cold_report: Option<OptimizeReport> = None;
     let mut cold_fp = String::new();
     for &jobs in &sc.jobs {
-        let report = run_ladder(&make_synth(false, false), jobs.max(1))?;
+        let report = run_ladder(&make_synth(false), jobs.max(1))?;
         check_internal(&report, &format!("cold j{jobs}"), &mut violations);
         let fp = fingerprint_of(&report);
         if cold_report.is_none() {
@@ -450,40 +446,13 @@ pub fn run_scenario(sc: &FuzzScenario, cfg: &FuzzConfig) -> Result<ScenarioRepor
     }
     let cold_report = cold_report.ok_or("scenario has an empty jobs list")?;
 
-    // ── Stage 2: warm engine ─────────────────────────────────────────────
-    // Conflict-limited warm solves with several workers share learned
-    // clauses, which legitimately perturbs which rungs finish inside the
-    // cap — only jobs=1 is deterministic there. Unlimited and zero-deadline
-    // regimes force every verdict, so any width must agree.
-    let warm_jobs: Vec<usize> = if sc.max_conflicts.is_some() && !sc.zero_deadline {
-        vec![1]
-    } else {
-        sc.jobs.clone()
-    };
-    for &jobs in &warm_jobs {
-        let report = run_ladder(&make_synth(false, true), jobs.max(1))?;
-        check_internal(&report, &format!("warm j{jobs}"), &mut violations);
-        if sc.unlimited() || sc.zero_deadline {
-            let fp = fingerprint_of(&report);
-            if fp != cold_fp {
-                fail(
-                    &mut violations,
-                    "warm-cold-equality",
-                    format!("warm j{jobs} reported {fp}, cold reported {cold_fp}"),
-                );
-            }
-        }
-    }
-
-    // ── Stage 2b: inprocessing invariance ────────────────────────────────
+    // ── Stage 2: inprocessing invariance ─────────────────────────────────
     // Inprocessing rewrites the clause database, never the verdicts: in
-    // the unlimited regime, a warm single-worker ladder with the pass
-    // disabled must land on the cold fingerprint too.
+    // the unlimited regime, a single-worker ladder with the pass disabled
+    // must land on the same fingerprint.
     if sc.inprocess && sc.unlimited() {
         let budget = sc.budget().unwrap_or_default().with_inprocess(false);
-        let synth = Synthesizer::new()
-            .with_incremental(true)
-            .with_budget(budget);
+        let synth = Synthesizer::new().with_budget(budget);
         let report = run_ladder(&synth, 1)?;
         check_internal(&report, "no-inprocess", &mut violations);
         let fp = fingerprint_of(&report);
@@ -491,14 +460,14 @@ pub fn run_scenario(sc: &FuzzScenario, cfg: &FuzzConfig) -> Result<ScenarioRepor
             fail(
                 &mut violations,
                 "inprocess-invariance",
-                format!("no-inprocess warm ladder reported {fp}, cold reported {cold_fp}"),
+                format!("no-inprocess ladder reported {fp}, default reported {cold_fp}"),
             );
         }
     }
 
     // ── Stage 3: certified ladder, proofs re-check ───────────────────────
     if sc.certify {
-        let report = run_ladder(&make_synth(true, false), *sc.jobs.first().unwrap_or(&1))?;
+        let report = run_ladder(&make_synth(true), *sc.jobs.first().unwrap_or(&1))?;
         check_internal(&report, "certified", &mut violations);
         let fp = fingerprint_of(&report);
         if fp != cold_fp {
@@ -591,7 +560,7 @@ pub fn run_scenario(sc: &FuzzScenario, cfg: &FuzzConfig) -> Result<ScenarioRepor
             .map_err(|e| format!("avoidance spec: {e}"))?
             .with_options(options.clone())
             .with_cell_avoidance(sc.array_size, sc.avoid_cells.clone());
-        let outcome = make_synth(false, false)
+        let outcome = make_synth(false)
             .run(&spec)
             .map_err(|e| format!("avoidance run: {e}"))?;
         if matches!(outcome.result, SynthResult::Realizable(_)) {
@@ -670,13 +639,9 @@ pub fn run_scenario(sc: &FuzzScenario, cfg: &FuzzConfig) -> Result<ScenarioRepor
             let mut repair_cfg = RepairConfig::new(sc.array_size);
             repair_cfg.campaign = config;
             let repair_plans = [plan.clone()];
-            let outcome = synthesize_with_repair(
-                &make_synth(false, false),
-                &spec,
-                &repair_plans,
-                &repair_cfg,
-            )
-            .map_err(|e| format!("repair: {e}"))?;
+            let outcome =
+                synthesize_with_repair(&make_synth(false), &spec, &repair_plans, &repair_cfg)
+                    .map_err(|e| format!("repair: {e}"))?;
             if outcome.succeeded() {
                 if let Some(report) = &outcome.report {
                     if report.any_failures() {
@@ -789,7 +754,8 @@ impl Corpus {
 /// regime of the pipeline (dedup'd NOR fan-in, cancelled certification,
 /// zero-deadline degradation, cell avoidance, jobs invariance, fault
 /// campaigns under variability, repair, transients, R-only certification,
-/// multi-output functions, constant functions, warm/cold agreement,
+/// multi-output functions, constant functions, an unlimited certified maj3
+/// ladder,
 /// inprocessing with certification, inprocessing under cancellation, and
 /// the `--no-inprocess` regime).
 ///
@@ -945,6 +911,9 @@ pub fn seed_corpus() -> Vec<CorpusCase> {
                 s
             },
         ),
+        // The name and description date from a second, warm ladder engine
+        // that has since been removed; they stay so the committed corpus
+        // file is unchanged. The case runs an unlimited certified ladder.
         case("warm and cold ladders agree rung for rung on maj3", {
             let mut s = base(
                 "seed-maj3-warm-cold",

@@ -41,6 +41,12 @@ pub struct CallRecord {
     pub time: Duration,
     /// DRAT steps emitted by the call (0 when proof logging was off).
     pub proof_steps: u64,
+    /// Whether the ladder cancelled the call because another rung's
+    /// answer already settled it (a subset of `Unknown` results). A call
+    /// that gave up on its own budget has this `false`.
+    pub cancelled: bool,
+    /// Conflicts the call's solve spent.
+    pub conflicts: u64,
     /// Whether the call aborted because the run's wall-clock
     /// [`Deadline`](mm_sat::Deadline) expired (a subset of `Unknown`
     /// results).
@@ -159,6 +165,8 @@ fn record(outcome: &crate::SynthOutcome, spec: &SynthSpec) -> CallRecord {
         n_clauses: outcome.encode_stats.n_clauses,
         time: outcome.total_time(),
         proof_steps: outcome.solver_stats.proof_steps,
+        cancelled: outcome.solver_stats.cancelled,
+        conflicts: outcome.solver_stats.conflicts,
         deadline_expired: outcome.solver_stats.deadline_expired,
         check_time: outcome.solver_stats.proof_check_time,
         certified: outcome.certificate.is_some(),
@@ -184,6 +192,8 @@ mod tests {
             n_clauses: 456,
             time: Duration::new(0, 7_000),
             proof_steps: 5,
+            cancelled: false,
+            conflicts: 42,
             deadline_expired: false,
             check_time: Duration::new(0, 1_000),
             certified: true,
@@ -195,7 +205,8 @@ mod tests {
         let golden = concat!(
             "{\"n_rops\":2,\"n_legs\":3,\"n_vsteps\":4,\"result\":\"Unrealizable\",",
             "\"n_vars\":120,\"n_clauses\":456,\"time\":{\"secs\":0,\"nanos\":7000},",
-            "\"proof_steps\":5,\"deadline_expired\":false,",
+            "\"proof_steps\":5,\"cancelled\":false,\"conflicts\":42,",
+            "\"deadline_expired\":false,",
             "\"check_time\":{\"secs\":0,\"nanos\":1000},\"certified\":true,",
             "\"proof\":\"0\\n\"}"
         );

@@ -55,84 +55,15 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use mm_boolfn::MultiOutputFn;
 use mm_circuit::MmCircuit;
-use mm_sat::{Budget, CancellationToken, ClauseBus, Diversity, Solver};
+use mm_sat::CancellationToken;
 use mm_telemetry::{kv, AttrValue};
 
 use super::{record, seed_upper_bound, CallRecord, DegradeReason, OptimizeReport, OptimizeStatus};
-use crate::encoder::{self, SharedBase};
-use crate::{EncodeOptions, SynthError, SynthOutcome, SynthResult, SynthSpec, Synthesizer};
-
-/// LBD threshold for clauses exported to the portfolio bus: only "glue"
-/// clauses (≤ 4 distinct decision levels) are worth the import traffic.
-const SHARE_MAX_LBD: u32 = 4;
-
-/// The shared state of a warm (incremental) portfolio: one base encoding
-/// every worker's solver loads, and the bus their learned clauses travel on.
-type WarmContext = (Arc<SharedBase>, ClauseBus);
-
-/// The solving engine a worker runs its rungs on: either the classic cold
-/// path (a fresh encode + solver per rung) or a warm path holding one
-/// long-lived solver over a [`SharedBase`], activating rungs via
-/// assumptions.
-///
-/// Warm engines keep their learned clauses across rungs and share strong
-/// learned clauses with the other workers over a [`ClauseBus`]. The engine
-/// choice never changes verdicts — see the equisatisfiability argument on
-/// [`SharedBase`] and `tests/incremental_differential.rs`.
-enum RungEngine<'a> {
-    /// Cold per-rung solving via [`Synthesizer::run`].
-    Cold(&'a Synthesizer),
-    /// One long-lived solver walking the ladder on a shared base.
-    /// Boxed: a `Solver` is hundreds of bytes of watch/heap state, far
-    /// larger than the `Cold` variant.
-    Warm {
-        synth: &'a Synthesizer,
-        base: Arc<SharedBase>,
-        solver: Box<Solver>,
-    },
-}
-
-impl<'a> RungEngine<'a> {
-    /// A warm engine over an already-encoded base, wired to the portfolio
-    /// clause bus, with a per-worker [`Diversity`] profile.
-    fn warm(
-        synth: &'a Synthesizer,
-        base: Arc<SharedBase>,
-        bus: &ClauseBus,
-        diversity: Diversity,
-    ) -> Self {
-        let solver = Solver::new(base.cnf.clone())
-            .with_telemetry(synth.telemetry().clone())
-            .with_diversity(diversity)
-            .with_clause_bus(bus.clone());
-        Self::Warm {
-            synth,
-            base,
-            solver: Box::new(solver),
-        }
-    }
-
-    /// Solves one rung under an explicit per-call budget (carrying the
-    /// rung's cancellation token).
-    fn run_with_budget(
-        &mut self,
-        spec: &SynthSpec,
-        budget: Budget,
-    ) -> Result<SynthOutcome, SynthError> {
-        match self {
-            Self::Cold(synth) => synth.clone().with_budget(budget).run(spec),
-            Self::Warm {
-                synth,
-                base,
-                solver,
-            } => synth.run_on_base(solver, base, spec, budget),
-        }
-    }
-}
+use crate::{EncodeOptions, SynthError, SynthResult, SynthSpec, Synthesizer};
 
 /// A sensible default worker count: the machine's available parallelism.
 pub fn default_jobs() -> usize {
@@ -177,25 +108,6 @@ struct LadderOutcome {
     calls: Vec<CallRecord>,
 }
 
-/// The warm context a ladder topped by `top` should run under: a shared
-/// base encoding with disable guards plus a fresh clause bus, or `None`
-/// when the cold engine applies.
-fn warm_context_for(
-    synth: &Synthesizer,
-    top: Option<&SynthSpec>,
-) -> Result<Option<WarmContext>, SynthError> {
-    match top {
-        Some(top) if synth.incremental_for(top) => {
-            let _encode_span = synth.telemetry().span("encode");
-            Ok(Some((
-                Arc::new(encoder::encode_shared_base(top)?),
-                ClauseBus::new(SHARE_MAX_LBD),
-            )))
-        }
-        _ => Ok(None),
-    }
-}
-
 /// Solves an ascending budget ladder (`specs[i]` strictly weaker than
 /// `specs[i + 1]`) with `jobs` workers and lattice-driven cancellation.
 fn run_ladder(
@@ -203,26 +115,8 @@ fn run_ladder(
     specs: &[SynthSpec],
     jobs: usize,
 ) -> Result<LadderOutcome, SynthError> {
-    // Incremental engine: encode the top rung once with disable guards; the
-    // ladder is ascending, so every point is a sub-budget of the last spec.
-    let warm_ctx = warm_context_for(synth, specs.last())?;
-    run_ladder_with(synth, specs, jobs, warm_ctx.as_ref())
-}
-
-/// [`run_ladder`] under a caller-supplied warm context, so a two-phase run
-/// ([`minimize_mixed_mode`]) can share one base and one clause bus across
-/// phases: phase-2 workers then import the strong clauses phase 1 learned.
-fn run_ladder_with(
-    synth: &Synthesizer,
-    specs: &[SynthSpec],
-    jobs: usize,
-    warm_ctx: Option<&WarmContext>,
-) -> Result<LadderOutcome, SynthError> {
     let n = specs.len();
     let jobs = jobs.max(1).min(n.max(1));
-    // Bus totals are cumulative and the bus may be shared across phases;
-    // snapshot so this ladder reports only its own traffic.
-    let bus_before = warm_ctx.map(|(_, bus)| (bus.exported(), bus.imported()));
     let tokens: Vec<CancellationToken> = (0..n).map(|_| CancellationToken::new()).collect();
     let outcomes: Mutex<Vec<Option<PointOutcome>>> = Mutex::new((0..n).map(|_| None).collect());
     let calls: Mutex<Vec<CallRecord>> = Mutex::new(Vec::new());
@@ -239,7 +133,6 @@ fn run_ladder_with(
                 worker(
                     synth,
                     specs,
-                    warm_ctx,
                     tokens,
                     cursor,
                     outcomes,
@@ -311,7 +204,6 @@ fn run_ladder_with(
             kv("points", n),
             kv("proven", proven && degrade.is_none()),
             kv("degraded", degrade.is_some()),
-            kv("incremental", warm_ctx.is_some()),
             kv(
                 "reason",
                 degrade
@@ -321,14 +213,6 @@ fn run_ladder_with(
             ),
         ],
     );
-    if let (Some((_, bus)), Some((exp0, imp0))) = (warm_ctx, bus_before) {
-        synth
-            .telemetry()
-            .counter("ladder.clauses_exported", bus.exported() - exp0);
-        synth
-            .telemetry()
-            .counter("ladder.clauses_imported", bus.imported() - imp0);
-    }
     Ok(LadderOutcome {
         best,
         proven: proven && degrade.is_none(),
@@ -353,7 +237,6 @@ fn rung_attrs(idx: usize, spec: &SynthSpec, worker_idx: usize) -> Vec<(String, A
 fn worker(
     synth: &Synthesizer,
     specs: &[SynthSpec],
-    warm_ctx: Option<&WarmContext>,
     tokens: &[CancellationToken],
     cursor: &AtomicUsize,
     outcomes: &Mutex<Vec<Option<PointOutcome>>>,
@@ -362,20 +245,6 @@ fn worker(
     worker_idx: usize,
 ) {
     let telemetry = synth.telemetry().clone();
-    // Each worker owns one engine for its whole ladder share: warm workers
-    // keep a long-lived solver (learned clauses persist across rungs) wired
-    // to the portfolio bus, cold workers re-encode per rung as before.
-    // Warm workers are additionally diversified by seed, saved-phase
-    // polarity and restart policy, so the glue clauses they trade over the
-    // bus come from genuinely different trajectories (worker 0 stays
-    // canonical).
-    let make_engine = || match warm_ctx {
-        Some((base, bus)) => {
-            RungEngine::warm(synth, base.clone(), bus, Diversity::for_worker(worker_idx))
-        }
-        None => RungEngine::Cold(synth),
-    };
-    let mut engine = make_engine();
     loop {
         let idx = cursor.fetch_add(1, Ordering::Relaxed);
         if idx >= specs.len() {
@@ -412,7 +281,7 @@ fn worker(
         telemetry.point("rung.spawned", rung_attrs(idx, &specs[idx], worker_idx));
         let budget = synth.budget().with_cancellation(tokens[idx].clone());
         let run = catch_unwind(AssertUnwindSafe(|| {
-            engine.run_with_budget(&specs[idx], budget)
+            synth.clone().with_budget(budget).run(&specs[idx])
         }));
         match run {
             Err(payload) => {
@@ -423,9 +292,6 @@ fn worker(
                     .unwrap_or_else(|| "non-string panic payload".to_string());
                 telemetry.point("rung", rung("panicked"));
                 set_outcome(outcomes, idx, PointOutcome::Panicked(message));
-                // A panic may have left the long-lived solver mid-search;
-                // rebuild from the shared base rather than trust its state.
-                engine = make_engine();
             }
             Ok(Ok(outcome)) => {
                 let record = record(&outcome, &specs[idx]);
@@ -580,11 +446,7 @@ pub fn minimize_mixed_mode(
             Ok(SynthSpec::mixed_mode(f, n_rops, n_legs, max_vsteps)?.with_options(options.clone()))
         })
         .collect::<Result<Vec<_>, SynthError>>()?;
-    // One warm context for both phases: the outer top rung dominates every
-    // spec of either ladder (legs grow monotonically with N_R), and sharing
-    // the bus lets phase-2 solvers start from phase 1's learned clauses.
-    let warm_ctx = warm_context_for(synth, rop_specs.last())?;
-    let outer = run_ladder_with(synth, &rop_specs, jobs, warm_ctx.as_ref())?;
+    let outer = run_ladder(synth, &rop_specs, jobs)?;
     let mut calls = outer.calls;
     let Some((rop_idx, outer_circuit)) = outer.best else {
         // No witness at any N_R. If the ladder degraded (deadline, budget,
@@ -600,14 +462,13 @@ pub fn minimize_mixed_mode(
         });
     };
 
-    // Phase 2: shrink the V-step budget at that N_R, on the same warm
-    // context (phase-2 solvers import the glue clauses phase 1 published).
+    // Phase 2: shrink the V-step budget at that N_R.
     let n_rops = rop_idx; // ladder index 0 is N_R = 0
     let n_legs = SynthSpec::paper_legs(f, n_rops, is_adder);
     let vs_specs = (1..=max_vsteps)
         .map(|vs| Ok(SynthSpec::mixed_mode(f, n_rops, n_legs, vs)?.with_options(options.clone())))
         .collect::<Result<Vec<_>, SynthError>>()?;
-    let inner = run_ladder_with(synth, &vs_specs, jobs, warm_ctx.as_ref())?;
+    let inner = run_ladder(synth, &vs_specs, jobs)?;
     let mut inner_calls = inner.calls;
     calls.append(&mut inner_calls);
     let inner_status = status_of(inner.degrade);
@@ -735,46 +596,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_vsteps_ladder_agrees_with_cold_and_reencodes_nothing() {
-        let f = generators::and_gate(2);
-        let opts = EncodeOptions::recommended();
-        let cold = minimize_vsteps(&Synthesizer::new(), &f, 0, 1, 4, &opts, 1).unwrap();
-        let warm_synth = Synthesizer::new().with_incremental(true);
-        let warm = minimize_vsteps(&warm_synth, &f, 0, 1, 4, &opts, 1).unwrap();
-        assert_eq!(cold.proven_optimal, warm.proven_optimal);
-        assert_eq!(
-            cold.best.as_ref().map(|c| c.metrics().n_vsteps),
-            warm.best.as_ref().map(|c| c.metrics().n_vsteps),
-        );
-        assert!(warm.best.expect("AND2 is V-realizable").implements(&f));
-        // The warm ladder re-encodes nothing: every rung reports the same
-        // shared-base CNF size, strictly larger than any cold rung's.
-        let base_vars = warm.calls[0].n_vars;
-        assert!(warm.calls.iter().all(|c| c.n_vars == base_vars));
-        assert!(cold.calls.iter().all(|c| c.n_vars < base_vars));
-    }
-
-    #[test]
-    fn incompatible_constraints_force_the_cold_engine() {
-        use mm_boolfn::Literal;
-        let f = generators::and_gate(2);
-        let synth = Synthesizer::new().with_incremental(true);
-        let avoidance = SynthSpec::mixed_mode(&f, 1, 2, 2)
-            .unwrap()
-            .with_cell_avoidance(8, vec![0]);
-        assert!(!synth.incremental_for(&avoidance));
-        let forced = SynthSpec::mixed_mode(&f, 0, 1, 2)
-            .unwrap()
-            .with_options(EncodeOptions {
-                forced_te: vec![(0, 0, Literal::Pos(2))],
-                ..EncodeOptions::default()
-            });
-        assert!(!synth.incremental_for(&forced));
-        let plain = SynthSpec::mixed_mode(&f, 0, 1, 2).unwrap();
-        assert!(synth.incremental_for(&plain));
-    }
-
-    #[test]
     fn certified_ladder_agrees_and_backs_every_unsat_with_a_proof() {
         let f = generators::xor_gate(2);
         let opts = EncodeOptions::recommended();
@@ -807,65 +628,6 @@ mod tests {
             {
                 assert!(!call.certified);
                 assert!(call.proof.is_none());
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_portfolio_agrees_with_cold_at_every_width() {
-        let f = generators::xor_gate(2);
-        let opts = EncodeOptions::recommended();
-        let cold = Synthesizer::new();
-        let warm = Synthesizer::new().with_incremental(true);
-        let baseline = minimize_r_only(&cold, &f, 5, &opts, 1).unwrap();
-        for jobs in [1, 2, 8] {
-            let report = minimize_r_only(&warm, &f, 5, &opts, jobs).unwrap();
-            reports_agree(&baseline, &report);
-            assert!(report.proven_optimal);
-        }
-        let mm_baseline = minimize_mixed_mode(&cold, &f, 3, 3, false, &opts, 1).unwrap();
-        for jobs in [1, 2, 8] {
-            let report = minimize_mixed_mode(&warm, &f, 3, 3, false, &opts, jobs).unwrap();
-            reports_agree(&mm_baseline, &report);
-            assert!(report
-                .best
-                .as_ref()
-                .expect("XOR2 is MM-realizable")
-                .implements(&f));
-        }
-    }
-
-    #[test]
-    fn certified_incremental_ladder_falls_back_to_cold_drat_proofs() {
-        // The certification + incrementality interplay: `--certify` wins,
-        // every UNSAT rung carries its own checker-accepted refutation of
-        // the *rung's* formula, and the verdicts still match the plain run.
-        let f = generators::xor_gate(2);
-        let opts = EncodeOptions::recommended();
-        let synth = Synthesizer::new()
-            .with_incremental(true)
-            .with_certification(true);
-        assert!(!synth.incremental_for(&SynthSpec::r_only(&f, 3).unwrap()));
-        let baseline = minimize_r_only(&Synthesizer::new(), &f, 5, &opts, 2).unwrap();
-        for jobs in [1, 4] {
-            let report = minimize_r_only(&synth, &f, 5, &opts, jobs).unwrap();
-            reports_agree(&baseline, &report);
-            for call in report
-                .calls
-                .iter()
-                .filter(|c| c.result == SynthResultKind::Unrealizable)
-            {
-                assert!(call.certified, "uncertified UNSAT at N_R = {}", call.n_rops);
-                let proof = call.proof.as_ref().expect("certified call keeps its proof");
-                assert!(proof.is_concluded());
-                // Re-check the proof against the rung's own cold encoding:
-                // an incremental shared-base artifact could never pass this.
-                let spec = SynthSpec::r_only(&f, call.n_rops)
-                    .unwrap()
-                    .with_options(opts.clone());
-                let text = Synthesizer::new().export_dimacs(&spec).unwrap();
-                let cnf = mm_sat::dimacs::parse(&text).unwrap();
-                mm_sat::drat::check(&cnf, proof).expect("proof refutes the rung formula");
             }
         }
     }

@@ -124,8 +124,7 @@ impl MinimizeRequest {
     /// Runs the request's ladder on `f` with `jobs` portfolio workers.
     ///
     /// The synthesizer's certification flag and budget are overridden by
-    /// the request (its telemetry and incremental settings are kept, except
-    /// that certification forces cold solves as in the CLI).
+    /// the request; its telemetry handle is kept.
     ///
     /// # Errors
     ///

@@ -97,7 +97,6 @@ impl SynthOutcome {
 pub struct Synthesizer {
     budget: Budget,
     certify: bool,
-    incremental: bool,
     telemetry: Telemetry,
 }
 
@@ -133,37 +132,11 @@ impl Synthesizer {
         self.certify
     }
 
-    /// Turns incremental ladder solving on or off (default: off; the
-    /// `mmsynth` CLI flips it on).
-    ///
-    /// With incrementality on, the minimality ladders in [`crate::optimize`]
-    /// encode `Φ(f)` once at the top rung's budgets with *disable*
-    /// assumption literals guarding every rung-varying constraint, and
-    /// descend on one long-lived solver per worker so learned clauses carry
-    /// from rung to rung (see [`encoder` docs][crate::encoder]). The flag is
-    /// a pure engine selector: verdicts and decoded circuits are unaffected
-    /// (locked down by `tests/incremental_differential.rs`).
-    ///
-    /// Ladders fall back to cold per-rung solves — regardless of this flag —
-    /// when certification is on (a DRAT proof must refute the *rung's*
-    /// formula, not the base under assumptions) or when the spec carries
-    /// constraints the shared base cannot express (cell avoidance,
-    /// forced-TE positions).
-    pub fn with_incremental(mut self, incremental: bool) -> Self {
-        self.incremental = incremental;
+    /// Has no effect: every ladder rung is encoded and solved on its own,
+    /// as in the paper. Kept only because the `perfbench` harness still
+    /// calls it; returns `self` unchanged.
+    pub fn with_incremental(self, _incremental: bool) -> Self {
         self
-    }
-
-    /// Whether incremental ladder solving is requested.
-    pub fn is_incremental(&self) -> bool {
-        self.incremental
-    }
-
-    /// Whether a ladder over `spec`'s function should actually run on the
-    /// incremental engine: requested, certification off, and the spec's
-    /// constraints are expressible in the shared base.
-    pub(crate) fn incremental_for(&self, spec: &SynthSpec) -> bool {
-        self.incremental && !self.certify && encoder::incremental_compatible(spec)
     }
 
     /// The configured budget.
@@ -238,55 +211,6 @@ impl Synthesizer {
             solver_stats,
             certificate: None,
             placement,
-        })
-    }
-
-    /// Solves one rung of a ladder on a long-lived `solver` holding `base`'s
-    /// shared encoding, activating the rung via assumptions instead of
-    /// re-encoding.
-    ///
-    /// The reported `solver_stats` are the *per-call delta* (the solver's
-    /// counters accumulate across rungs); `encode_stats` are the shared
-    /// base's, identical for every rung. Decoded circuits are verified
-    /// against the spec exactly as in [`run`](Self::run), so an unsound
-    /// projection can never produce a silently wrong circuit.
-    pub(crate) fn run_on_base(
-        &self,
-        solver: &mut Solver,
-        base: &encoder::SharedBase,
-        spec: &SynthSpec,
-        budget: Budget,
-    ) -> Result<SynthOutcome, SynthError> {
-        let _synth_span = self.telemetry.span_with("synth", span_attrs(spec));
-        let before = solver.stats();
-        if self.telemetry.is_enabled() {
-            let reused = before.learnt_clauses - before.deleted_clauses;
-            if reused > 0 {
-                self.telemetry.counter("solver.reused_clauses", reused);
-            }
-        }
-        let assumptions = base.assumptions_for(spec);
-        let result = {
-            let _solve_span = self.telemetry.span("solve");
-            solver.solve_under_assumptions(&assumptions, budget)
-        };
-        let solver_stats = solver.stats().delta_since(&before);
-        let result = match result {
-            SatResult::Sat(model) => {
-                let _decode_span = self.telemetry.span("decode");
-                let circuit = decoder::decode(spec, &base.project_map(spec), &model)?;
-                verify(&circuit, spec)?;
-                SynthResult::Realizable(circuit)
-            }
-            SatResult::Unsat => SynthResult::Unrealizable,
-            SatResult::Unknown => SynthResult::Unknown,
-        };
-        Ok(SynthOutcome {
-            result,
-            encode_stats: base.stats,
-            solver_stats,
-            certificate: None,
-            placement: None,
         })
     }
 

@@ -52,7 +52,6 @@ mod error;
 mod lit;
 mod model;
 mod proof;
-mod share;
 mod solver;
 mod stats;
 
@@ -66,6 +65,5 @@ pub use error::SatError;
 pub use lit::{Lit, Var};
 pub use model::Model;
 pub use proof::{FileProofWriter, ProofWriter};
-pub use share::ClauseBus;
-pub use solver::{Diversity, PhaseInit, RestartPolicy, SatResult, Solver};
+pub use solver::{SatResult, Solver};
 pub use stats::SolverStats;

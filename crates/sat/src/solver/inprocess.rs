@@ -47,8 +47,7 @@
 //! the solver's own database shrinks in lockstep with the proof's.
 //!
 //! Every rewrite is equivalence-preserving and no pass takes a variable
-//! out of the search, so assumptions, clause-bus imports and models need
-//! no special handling.
+//! out of the search, so assumptions and models need no special handling.
 
 use std::collections::VecDeque;
 use std::time::Instant;

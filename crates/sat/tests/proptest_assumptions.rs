@@ -1,6 +1,8 @@
 //! Property-based validation of assumption-based incremental solving.
 //!
-//! Three semantic contracts back the incremental minimality ladder:
+//! `Solver::solve_under_assumptions` is the path every one-shot solve runs
+//! through (with no assumptions); the ladder no longer passes any. Three
+//! semantic contracts pin what the assumption prefix does:
 //!
 //! 1. SAT under assumptions ⇒ the returned model satisfies every clause
 //!    *and* every assumption.

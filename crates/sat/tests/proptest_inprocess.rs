@@ -1,9 +1,9 @@
 //! Property-based validation of the inprocessing layer: simplification
 //! preserves satisfiability, models satisfy every original clause, every
-//! certified verdict stays checkable, the in-place rewrites keep the watch
-//! invariants, and diversified solvers agree on every verdict.
+//! certified verdict stays checkable, and the in-place rewrites keep the
+//! watch invariants.
 
-use mm_sat::{drat, Budget, CnfFormula, Diversity, DratProof, Lit, SatResult, Solver, Var};
+use mm_sat::{drat, Budget, CnfFormula, DratProof, Lit, SatResult, Solver, Var};
 use proptest::prelude::*;
 
 /// A random clause set over `n_vars` variables, as (var, polarity) pairs.
@@ -191,29 +191,6 @@ proptest! {
             SatResult::Sat(_) => prop_assert!(expected),
             SatResult::Unsat => prop_assert!(!expected),
             SatResult::Unknown => prop_assert!(false, "no budget was set"),
-        }
-    }
-
-    #[test]
-    fn diversified_workers_agree_on_every_verdict(raw in clauses_strategy(9)) {
-        // Seed, phase and restart-policy diversification changes the
-        // trajectory, never the verdict.
-        let (cnf, clauses) = build(9, &raw);
-        let expected = brute_force_sat(9, &clauses);
-        for idx in 0..4 {
-            let solver = Solver::new(cnf.clone()).with_diversity(Diversity::for_worker(idx));
-            match solver.solve() {
-                SatResult::Sat(model) => {
-                    prop_assert!(expected, "worker {} SAT but brute force UNSAT", idx);
-                    for c in &clauses {
-                        prop_assert!(c.iter().any(|&l| model.value(l)));
-                    }
-                }
-                SatResult::Unsat => {
-                    prop_assert!(!expected, "worker {} UNSAT but brute force SAT", idx)
-                }
-                SatResult::Unknown => prop_assert!(false, "no budget was set"),
-            }
         }
     }
 

@@ -174,8 +174,6 @@ pub struct MetricsBridgeSink {
     propagations: Counter,
     decisions: Counter,
     restarts: Counter,
-    clauses_exported: Counter,
-    clauses_imported: Counter,
     inprocess_subsumed: Counter,
     inprocess_vivified: Counter,
 }
@@ -200,14 +198,6 @@ impl MetricsBridgeSink {
                 "mmsynth_solver_restarts_total",
                 "Restarts across all solver calls.",
             ),
-            clauses_exported: registry.counter(
-                "mmsynth_ladder_clauses_exported_total",
-                "Learnt clauses exported to the portfolio sharing bus.",
-            ),
-            clauses_imported: registry.counter(
-                "mmsynth_ladder_clauses_imported_total",
-                "Learnt clauses imported from the portfolio sharing bus.",
-            ),
             inprocess_subsumed: registry.counter(
                 "mmsynth_solver_inprocess_subsumed_total",
                 "Clauses subsumed or strengthened during inprocessing.",
@@ -229,8 +219,6 @@ impl TelemetrySink for MetricsBridgeSink {
                 "solver.propagations" => self.propagations.add(*delta),
                 "solver.decisions" => self.decisions.add(*delta),
                 "solver.restarts" => self.restarts.add(*delta),
-                "ladder.clauses_exported" => self.clauses_exported.add(*delta),
-                "ladder.clauses_imported" => self.clauses_imported.add(*delta),
                 "solver.inprocess.subsumed" => self.inprocess_subsumed.add(*delta),
                 "solver.inprocess.vivified" => self.inprocess_vivified.add(*delta),
                 _ => {}
@@ -292,7 +280,6 @@ mod tests {
         telemetry.counter("solver.conflicts", 40);
         telemetry.counter("solver.conflicts", 2);
         telemetry.counter("solver.propagations", 100);
-        telemetry.counter("ladder.clauses_exported", 7);
         telemetry.counter("solver.inprocess.subsumed", 8);
         telemetry.counter("solver.inprocess.subsumed", 1);
         telemetry.counter("solver.inprocess.vivified", 4);
@@ -304,7 +291,6 @@ mod tests {
         let text = registry.render_prometheus();
         assert!(text.contains("mmsynth_solver_conflicts_total 42"));
         assert!(text.contains("mmsynth_solver_propagations_total 100"));
-        assert!(text.contains("mmsynth_ladder_clauses_exported_total 7"));
         assert!(text.contains("mmsynth_solver_inprocess_subsumed_total 9"));
         assert!(text.contains("mmsynth_solver_inprocess_vivified_total 4"));
         assert!(text.contains(r#"mmsynth_rungs_total{outcome="sat"} 2"#));

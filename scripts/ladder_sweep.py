@@ -4,7 +4,8 @@
 Runs `mmsynth minimize --jobs 1 --report-json` on the four perfbench
 `ladder` functions (adder1, xor3, cmp2, mux21) at eight ladder shapes
 (--max-rops/--max-steps from 4/4 to 8/7, the default 8/6 among them),
-32 ladders in all, and prints per shape and in total:
+32 ladders in all. Every rung is encoded and solved on its own (no rung
+inherits another's learnt clauses). It prints per shape and in total:
 
 * `conflicts` -- the `solver.conflicts` counter, deterministic at --jobs 1;
 * `solve_s`   -- summed time of the `solve` phases;

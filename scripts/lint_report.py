@@ -24,6 +24,7 @@ import sys
 
 TRACE_SCHEMA_VERSION = 1
 REPORT_SCHEMA_VERSION = 1
+STATS_SCHEMA_VERSION = 2
 RUNG_OUTCOMES = {"sat", "unsat", "unknown", "skipped", "panicked"}
 
 errors = []
@@ -107,8 +108,9 @@ def lint_stats(path):
     with open(path, encoding="utf-8") as fh:
         stats = json.load(fh)
     check(
-        stats.get("schema_version") == 1,
-        f"{path}: schema_version is {stats.get('schema_version')!r}, want 1",
+        stats.get("schema_version") == STATS_SCHEMA_VERSION,
+        f"{path}: schema_version is {stats.get('schema_version')!r}, "
+        f"want {STATS_SCHEMA_VERSION}",
     )
     check(stats.get("calls"), f"{path}: no call records")
 

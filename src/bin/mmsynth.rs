@@ -6,7 +6,7 @@
 //!                  [--certify] [--proof FILE] [--dot | --json | --dimacs | --schedule]
 //! mmsynth minimize --function gf22_mul [--max-rops N] [--max-steps N] [--r-only]
 //!                  [--jobs N] [--conflicts N] [--deadline SECS] [--certify]
-//!                  [--no-incremental] [--proof-dir DIR] [--dot | --json | --schedule]
+//!                  [--no-inprocess] [--proof-dir DIR] [--dot | --json | --schedule]
 //!                  [--cache-dir DIR [--paranoid]]
 //! mmsynth faultsim --function xor2 --rops 1 --legs 2 --steps 2
 //!                  [--stuck CELL:lrs,CELL:hrs] [--flip CELL:CYCLE,...]
@@ -33,12 +33,10 @@
 //! `--proof`/`--proof-dir` additionally archive the accepted proofs as
 //! standard DRAT text for cross-checking with external tools (`drat-trim`).
 //!
-//! `minimize` descends its budget ladder *incrementally* by default: the
-//! formula is encoded once at the top rung and each worker keeps one
-//! long-lived solver, activating smaller rungs via assumptions and sharing
-//! strong learned clauses across the portfolio. `--no-incremental` restores
-//! cold per-rung solves; `--certify` implies them, so every archived proof
-//! refutes its own rung's formula.
+//! `minimize` solves every rung of its budget ladder on its own: each
+//! budget point is encoded and handed to a fresh solver, as in the paper,
+//! so every archived proof refutes its own rung's formula. `--conflicts N`
+//! caps each rung's solve; no rung inherits another's learnt clauses.
 //!
 //! Every subcommand also accepts the telemetry flags: `--trace-out F.jsonl`
 //! streams the raw span/counter/point event stream as JSON lines,
@@ -92,6 +90,11 @@ use serde::{Serialize, Value};
 /// search finished, or a repair loop gave up. Distinct from 1 (errors) so
 /// scripts can retry with a larger budget instead of failing hard.
 const EXIT_INCONCLUSIVE: u8 = 2;
+
+/// Version of the `--stats-json` sidecar schema, shared by every
+/// subcommand. Version 2 dropped `incremental` from `minimize` and added
+/// `cancelled` and `conflicts` to each call record.
+const STATS_SCHEMA_VERSION: u64 = 2;
 
 fn named_functions() -> Vec<(&'static str, MultiOutputFn)> {
     vec![
@@ -374,7 +377,7 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
                     SynthResult::Unknown => "unknown",
                 };
                 let stats = Value::Object(vec![
-                    ("schema_version".into(), Value::UInt(1)),
+                    ("schema_version".into(), Value::UInt(STATS_SCHEMA_VERSION)),
                     ("command".into(), Value::Str("synth".into())),
                     ("function".into(), Value::Str(f.name().to_string())),
                     ("result".into(), Value::Str(result.into())),
@@ -440,12 +443,8 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
             if let Some(dir) = args.get("cache-dir") {
                 return minimize_cached(args, tel, &f, jobs, &options, dir);
             }
-            // Incremental ladder solving is on by default; --no-incremental
-            // restores cold per-rung solves (and --certify implies them).
-            let incremental = !args.has("no-incremental");
             let mut synth = Synthesizer::new()
                 .with_certification(args.has("certify"))
-                .with_incremental(incremental)
                 .with_telemetry(tel.telemetry.clone());
             // A conflict (not wall-clock) limit keeps the portfolio result
             // deterministic across --jobs settings; a --deadline bounds
@@ -517,12 +516,11 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
             }
             if let Some(dest) = args.get("stats-json") {
                 let stats = Value::Object(vec![
-                    ("schema_version".into(), Value::UInt(1)),
+                    ("schema_version".into(), Value::UInt(STATS_SCHEMA_VERSION)),
                     ("command".into(), Value::Str("minimize".into())),
                     ("function".into(), Value::Str(f.name().to_string())),
                     ("proven_optimal".into(), Value::Bool(report.proven_optimal)),
                     ("degraded".into(), Value::Bool(degraded)),
-                    ("incremental".into(), Value::Bool(incremental)),
                     ("inprocess".into(), Value::Bool(!args.has("no-inprocess"))),
                     ("n_calls".into(), Value::UInt(report.calls.len() as u64)),
                     ("certified_unsat".into(), Value::UInt(certified as u64)),
@@ -599,7 +597,7 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
                  \x20                [--dot | --json | --dimacs | --schedule]\n\
                  \x20      minimize: [--max-rops N] [--max-steps N] [--r-only] [--adder]\n\
                  \x20                [--jobs N] [--conflicts N] [--deadline SECS]\n\
-                 \x20                [--no-incremental] [--no-inprocess]\n\
+                 \x20                [--no-inprocess]\n\
                  \x20                [--certify] [--proof-dir DIR]\n\
                  \x20                [--cache-dir DIR [--paranoid]]\n\
                  \x20                [--dot | --json | --schedule]\n\
@@ -622,10 +620,8 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
                  \x20      --certify checks every UNSAT answer against its DRAT proof\n\
                  \x20      before any optimality claim; --proof/--proof-dir archive the\n\
                  \x20      accepted proofs as DRAT text\n\
-                 \x20      minimize descends its budget ladder incrementally (one\n\
-                 \x20      long-lived solver per worker, shared learned clauses);\n\
-                 \x20      --no-incremental restores cold per-rung solves, and\n\
-                 \x20      --certify implies them (proofs refute each rung's formula)\n\
+                 \x20      minimize encodes and solves each ladder rung on its own;\n\
+                 \x20      --conflicts N caps each rung's solve\n\
                  \x20      the solver inprocesses (subsumption, vivification) at\n\
                  \x20      restart boundaries; --no-inprocess turns that off —\n\
                  \x20      verdicts and proofs are identical either way\n\
@@ -990,7 +986,7 @@ fn fuzz(args: &Args) -> Result<ExitCode, String> {
     );
     if let Some(dest) = args.get("stats-json") {
         let stats = Value::Object(vec![
-            ("schema_version".into(), Value::UInt(1)),
+            ("schema_version".into(), Value::UInt(STATS_SCHEMA_VERSION)),
             ("command".into(), Value::Str("fuzz".into())),
             ("seed".into(), Value::UInt(seed)),
             ("budget".into(), Value::UInt(budget as u64)),

@@ -1,14 +1,12 @@
-//! Differential lockdown of the inprocessing layer and the diversified
-//! portfolio.
+//! Differential lockdown of the inprocessing layer.
 //!
 //! Inprocessing (subsumption with self-subsuming resolution,
-//! vivification) and portfolio diversification
-//! (per-worker seed / phase / restart policy) are pure *performance*
-//! features: for every function, engine, and worker count the verdict —
-//! `proven_optimal`, presence of a best circuit, its optimal metrics —
-//! must be identical with the features on and off, and decoded circuits
-//! must survive device-model replay. Any divergence is a soundness bug in
-//! the clause-database rewriting, never an acceptable trade-off.
+//! vivification) is a pure *performance* feature: for every function and
+//! worker count the verdict — `proven_optimal`, presence of a best
+//! circuit, its optimal metrics — must be identical with it on and off,
+//! and decoded circuits must survive device-model replay. Any divergence
+//! is a soundness bug in the clause-database rewriting, never an
+//! acceptable trade-off.
 
 use memristive_mm::boolfn::{generators, MultiOutputFn, TruthTable};
 use memristive_mm::circuit::{CircuitError, MmCircuit, Schedule};
@@ -19,25 +17,15 @@ use memristive_mm::synth::{EncodeOptions, Synthesizer};
 /// Worker counts every case runs under (mirrors ISSUE 5/10 acceptance).
 const JOBS: [usize; 3] = [1, 2, 8];
 
-/// The four engine configurations under test: warm/cold × inprocess
-/// on/off. The cold no-inprocess engine is the pre-feature baseline.
-fn engines() -> [(&'static str, Synthesizer); 4] {
-    let on = Budget::new();
-    let off = Budget::new().with_inprocess(false);
+/// The two configurations under test: inprocessing off (the pre-feature
+/// baseline) and on.
+fn engines() -> [(&'static str, Synthesizer); 2] {
     [
         (
-            "cold/no-inprocess",
-            Synthesizer::new().with_budget(off.clone()),
+            "no-inprocess",
+            Synthesizer::new().with_budget(Budget::new().with_inprocess(false)),
         ),
-        ("cold/inprocess", Synthesizer::new().with_budget(on.clone())),
-        (
-            "warm/no-inprocess",
-            Synthesizer::new().with_incremental(true).with_budget(off),
-        ),
-        (
-            "warm/inprocess",
-            Synthesizer::new().with_incremental(true).with_budget(on),
-        ),
+        ("inprocess", Synthesizer::new().with_budget(Budget::new())),
     ]
 }
 
@@ -87,10 +75,9 @@ fn device_verify(label: &str, circuit: &MmCircuit, f: &MultiOutputFn) {
     }
 }
 
-/// Every 2-input NPN class through the pure V-op step ladder, all four
-/// engine configurations, all worker counts: the `d_step` guard family
-/// must survive inprocessing's clause rewriting in both SAT and
-/// UNSAT-everywhere (XOR-class) ladders.
+/// Every 2-input NPN class through the pure V-op step ladder, both
+/// configurations, all worker counts: inprocessing's clause rewriting must
+/// keep the verdicts of both SAT and UNSAT-everywhere (XOR-class) ladders.
 #[test]
 fn npn_census_vsteps_ladders_are_inprocess_invariant() {
     let opts = EncodeOptions::recommended();
@@ -120,7 +107,7 @@ fn npn_census_vsteps_ladders_are_inprocess_invariant() {
 
 /// The 1-bit ripple adder's full two-phase mixed-mode ladder (the paper's
 /// Table IV row): 3 inputs, 2 outputs, outer `N_R` descent plus inner
-/// step descent — the workload the warm portfolio actually runs in anger.
+/// step descent — the workload the portfolio actually runs in anger.
 #[test]
 fn adder_mixed_mode_ladder_is_inprocess_invariant() {
     let opts = EncodeOptions::recommended();

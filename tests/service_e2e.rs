@@ -422,7 +422,6 @@ fn metrics_endpoint_serves_all_families_over_http() {
         "mmsynth_cache_misses_total",
         "mmsynth_cache_entries",
         "mmsynth_solver_conflicts_total",
-        "mmsynth_ladder_clauses_exported_total",
     ] {
         assert!(first.contains(family), "missing {family} in:\n{first}");
     }

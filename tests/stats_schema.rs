@@ -3,16 +3,16 @@
 //! The sidecar is a machine-readable contract: downstream tooling (the
 //! bench reporter, `scripts/lint_report.py`, CI diff legs) keys on exact
 //! field names. These tests pin the key *lists and order* per subcommand
-//! and the semantics of the shared fields (`schema_version`,
-//! `incremental`, `degraded`) so a rename or reorder is a deliberate,
-//! reviewed schema bump rather than an accident.
+//! and the semantics of the shared fields (`schema_version`, `inprocess`,
+//! `degraded`) so a rename or reorder is a deliberate, reviewed schema
+//! bump rather than an accident.
 
 use std::path::PathBuf;
 use std::process::Command;
 
 use serde::Value;
 
-const STATS_SCHEMA_VERSION: u64 = 1;
+const STATS_SCHEMA_VERSION: u64 = 2;
 
 fn run_with_stats(args: &[&str], name: &str) -> (std::process::Output, Value) {
     let path: PathBuf =
@@ -93,7 +93,6 @@ fn minimize_stats_schema_is_stable() {
             "function",
             "proven_optimal",
             "degraded",
-            "incremental",
             "inprocess",
             "n_calls",
             "certified_unsat",
@@ -106,28 +105,38 @@ fn minimize_stats_schema_is_stable() {
         Value::UInt(STATS_SCHEMA_VERSION)
     );
     assert_eq!(get(&stats, "command"), Value::Str("minimize".into()));
-    // The ladder is incremental by default and this run completes.
-    assert_eq!(get(&stats, "incremental"), Value::Bool(true));
-    // Inprocessing is on by default too.
+    // Inprocessing is on by default, and this run completes.
     assert_eq!(get(&stats, "inprocess"), Value::Bool(true));
     assert_eq!(get(&stats, "degraded"), Value::Bool(false));
-}
-
-#[test]
-fn minimize_stats_track_the_incremental_flag() {
-    let (output, stats) = run_with_stats(
-        &[
-            "minimize",
-            "--function",
-            "xor2",
-            "--max-rops",
-            "2",
-            "--no-incremental",
-        ],
-        "cold",
-    );
-    assert!(output.status.success());
-    assert_eq!(get(&stats, "incremental"), Value::Bool(false));
+    // Every call record carries its solver effort and whether the ladder
+    // cancelled it.
+    let Value::Array(calls) = get(&stats, "calls") else {
+        panic!("calls is not an array");
+    };
+    assert!(!calls.is_empty());
+    for call in &calls {
+        assert_eq!(
+            keys(call),
+            [
+                "n_rops",
+                "n_legs",
+                "n_vsteps",
+                "result",
+                "n_vars",
+                "n_clauses",
+                "time",
+                "proof_steps",
+                "cancelled",
+                "conflicts",
+                "deadline_expired",
+                "check_time",
+                "certified",
+                "proof",
+            ]
+        );
+        assert!(matches!(get(call, "conflicts"), Value::UInt(_)));
+        assert!(matches!(get(call, "cancelled"), Value::Bool(_)));
+    }
 }
 
 #[test]
@@ -146,7 +155,7 @@ fn minimize_stats_track_the_inprocess_flag() {
     assert!(output.status.success());
     assert_eq!(get(&stats, "inprocess"), Value::Bool(false));
     // The knob is solver-internal; the verdict fields are unaffected.
-    assert_eq!(get(&stats, "incremental"), Value::Bool(true));
+    assert_eq!(get(&stats, "proven_optimal"), Value::Bool(true));
 }
 
 #[test]

@@ -173,7 +173,7 @@ fn mmsynth_binary_writes_trace_report_and_stats() {
             .unwrap_or_else(|| panic!("stats field {key} missing")),
         other => panic!("stats is not an object: {other:?}"),
     };
-    assert_eq!(get("schema_version"), serde::Value::UInt(1));
+    assert_eq!(get("schema_version"), serde::Value::UInt(2));
     assert_eq!(get("proven_optimal"), serde::Value::Bool(true));
     match get("calls") {
         serde::Value::Array(calls) => assert!(!calls.is_empty(), "no call records"),
